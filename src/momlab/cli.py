@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .problems import (
     make_rotated_problem,
 )
 from .seeding import ROTATION_STREAM, X0_STREAM, stream_seed
-from .spectral import analyze_hbm, analyze_nag, double_root_beta
+from .spectral import _GRID_BETAS, analyze_hbm, analyze_nag, double_root_beta
 from .verify import (
     clamped_eigvec_condition,
     verify_norm_bound,
@@ -88,6 +88,31 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _convert(name: str, value, to):
+    """``to(value)`` for config field ``name``; a failed conversion is a ConfigError."""
+    try:
+        return to(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {name!r}: {exc}") from exc
+
+
+def _floats(value) -> np.ndarray:
+    values = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"entries must be finite numbers, got {value!r}")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -111,21 +136,10 @@ class RunConfig:
     shift: list[float] | None = None
 
 
-_RUN_KEYS = {
-    "spectrum",
-    "n",
-    "cond",
-    "spectrum_law",
-    "method",
-    "params",
-    "x0",
-    "num_steps",
-    "eps",
-    "out",
-    "seed",
-    "rotate",
-    "shift",
-}
+# RunConfig fields read from the nested "params" object; the rest are top-level keys.
+_PARAMS_FIELDS = ("source", "alpha", "beta")
+_TOP_LEVEL_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name not in _PARAMS_FIELDS)
+_RUN_KEYS = {*_TOP_LEVEL_FIELDS, "params"}
 
 
 def _load_run_config(path: str) -> RunConfig:
@@ -149,8 +163,7 @@ def _load_run_config(path: str) -> RunConfig:
     cfg.source = params.get("source", "explicit")
     cfg.alpha = params.get("alpha")
     cfg.beta = params.get("beta")
-    for key in ("spectrum", "n", "cond", "spectrum_law", "method", "x0",
-                "num_steps", "eps", "out", "seed", "rotate", "shift"):
+    for key in _TOP_LEVEL_FIELDS:
         if key in raw:
             setattr(cfg, key, raw[key])
     return cfg
@@ -187,8 +200,10 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("need exactly one of fields 'num_steps' and 'eps'")
     if cfg.eps is not None and cfg.source == "explicit":
         raise ConfigError("field 'eps' termination needs a theorem parameter source")
-    if cfg.num_steps is not None and (not isinstance(cfg.num_steps, int) or cfg.num_steps < 1):
+    if cfg.num_steps is not None and (not _is_int(cfg.num_steps) or cfg.num_steps < 1):
         raise ConfigError(f"field 'num_steps' must be an integer >= 1, got {cfg.num_steps!r}")
+    if not _is_int(cfg.seed):
+        raise ConfigError(f"field 'seed' must be an integer, got {cfg.seed!r}")
 
     if not isinstance(cfg.x0, (list, str)):
         raise ConfigError("field 'x0' must be a vector or the string 'random-unit'")
@@ -199,8 +214,8 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
 
 def _spectrum_from_config(cfg: RunConfig) -> DiagonalSpectrum:
     if cfg.spectrum is not None:
-        return DiagonalSpectrum(cfg.spectrum)
-    n, cond = int(cfg.n), float(cfg.cond)
+        return DiagonalSpectrum(_convert("spectrum", cfg.spectrum, _floats))
+    n, cond = _convert("n", cfg.n, int), _convert("cond", cfg.cond, float)
     if n < 2:
         raise ConfigError(f"field 'n' must be >= 2 for a spectrum law, got {n}")
     if cond < 1.0:
@@ -226,7 +241,7 @@ def _cmd_run(args) -> int:
 
     spectrum = _spectrum_from_config(cfg)
     if cfg.rotate:
-        shift = cfg.shift if cfg.shift is not None else np.zeros(spectrum.n)
+        shift = np.zeros(spectrum.n) if cfg.shift is None else _convert("shift", cfg.shift, _floats)
         problem = make_rotated_problem(spectrum, stream_seed(cfg.seed, ROTATION_STREAM), shift)
     else:
         if cfg.shift is not None:
@@ -243,20 +258,23 @@ def _cmd_run(args) -> int:
         if cfg.method == "nag-compact":
             params = MethodParams(params.alpha, params.beta, MethodKind.NAG_COMPACT)
     else:
-        params = MethodParams(float(cfg.alpha), float(cfg.beta), _METHOD_NAMES[cfg.method])
+        try:
+            params = MethodParams(float(cfg.alpha), float(cfg.beta), _METHOD_NAMES[cfg.method])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"fields 'params.alpha'/'params.beta': {exc}") from exc
 
     if cfg.num_steps is not None:
         num_steps = cfg.num_steps
     else:
         budget_of = theorem1_budget if cfg.source == "theorem1" else theorem2_budget
-        num_steps = budget_of(bounds.cond_bar, float(cfg.eps)).budget
+        num_steps = budget_of(bounds.cond_bar, _convert("eps", cfg.eps, float)).budget
 
     if isinstance(cfg.x0, str):
         rng = np.random.default_rng(stream_seed(cfg.seed, X0_STREAM))
         v = rng.standard_normal(problem.dimension)
         x0 = problem.x_star + v / np.linalg.norm(v)
     else:
-        x0 = np.asarray(cfg.x0, dtype=float)
+        x0 = _convert("x0", cfg.x0, _floats)
 
     traj = run(problem, params, x0, num_steps)
     avg = traj.averaged_distances()
@@ -274,7 +292,6 @@ def _cmd_run(args) -> int:
 # figure
 
 
-_FIGURE_BETAS = tuple(0.05 * l for l in range(20))
 _FIGURE_CURVE_BETAS = (0.1, 0.5, 0.9)
 
 
@@ -296,7 +313,7 @@ def _figure_rows(figure_id: str, resolution: int, steps: int):
         rows = [
             (a, b, analyze_hbm(a, b).rho)
             for a in _alpha_axis(2.0, resolution, open_end=False)
-            for b in _FIGURE_BETAS
+            for b in _GRID_BETAS
         ]
         return ["alpha_i", "beta", "rho"], rows
     if figure_id == "fig3":
@@ -309,7 +326,7 @@ def _figure_rows(figure_id: str, resolution: int, steps: int):
         rows = [
             (a, b, clamped_eigvec_condition(a, b))
             for a in _alpha_axis(2.0, resolution, open_end=False)
-            for b in _FIGURE_BETAS
+            for b in _GRID_BETAS
         ]
         return ["alpha_i", "beta", "cond_s_clamped"], rows
     if figure_id == "fig4-right":
@@ -320,7 +337,7 @@ def _figure_rows(figure_id: str, resolution: int, steps: int):
     rows = [
         (a, b, analyze_nag(a, b).rho)
         for a in _alpha_axis(1.0, resolution, open_end=False)
-        for b in _FIGURE_BETAS
+        for b in _GRID_BETAS
     ]
     return ["alpha_i", "beta", "rho"], rows
 
@@ -331,7 +348,9 @@ def _cmd_figure(args) -> int:
     if args.figure not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {args.figure!r}; known: {', '.join(FIGURE_IDS)}")
     out = args.out if args.out is not None else f"{args.figure}.csv"
-    header, rows = _figure_rows(args.figure, args.resolution, args.steps or 100)
+    header, rows = _figure_rows(args.figure, args.resolution, args.steps)
+    if not rows:
+        raise ConfigError(f"figure {args.figure} has no rows at resolution {args.resolution}")
     _write_csv(out, header, rows)
     print(f"figure: id={args.figure} rows={len(rows)} out={out}")
     return EXIT_OK
@@ -407,13 +426,13 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--config", help="JSON run configuration")
     p_run.add_argument("--out", help="output CSV path (overrides config)")
     p_run.add_argument("--seed", type=int, help="master seed (overrides config)")
-    p_run.add_argument("--steps", type=int, help="step count (overrides config)")
+    p_run.add_argument("--steps", type=_positive_int, help="step count (overrides config)")
     p_run.set_defaults(func=_cmd_run)
 
     p_fig = sub.add_parser("figure", help="emit figure-data CSV")
     p_fig.add_argument("--figure", help=f"one of {', '.join(FIGURE_IDS)}")
-    p_fig.add_argument("--resolution", type=int, default=100, help="alpha_i samples")
-    p_fig.add_argument("--steps", type=int, help="trajectory length for fig1")
+    p_fig.add_argument("--resolution", type=_positive_int, default=100, help="alpha_i samples")
+    p_fig.add_argument("--steps", type=_positive_int, default=100, help="trajectory length for fig1")
     p_fig.add_argument("--out", help="output CSV path")
     p_fig.set_defaults(func=_cmd_figure)
 
@@ -421,9 +440,9 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("check", choices=VERIFY_IDS)
     p_ver.add_argument("--cond", type=_float_list, help="comma-separated cond values")
     p_ver.add_argument("--eps", type=_float_list, help="comma-separated eps values")
-    p_ver.add_argument("--seeds", type=int, default=20, help="starts per (cond, eps) cell")
+    p_ver.add_argument("--seeds", type=_positive_int, default=20, help="starts per (cond, eps) cell")
     p_ver.add_argument("--seed", type=int, help="master seed")
-    p_ver.add_argument("--steps", type=int, help="override budget / power sweep length")
+    p_ver.add_argument("--steps", type=_positive_int, help="override budget / power sweep length")
     p_ver.add_argument("--out", help="also write the report to this path")
     p_ver.set_defaults(func=_cmd_verify)
 

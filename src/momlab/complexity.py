@@ -9,7 +9,9 @@ Euclidean distance to the minimizer, the certified budgets are
 valid for c >= 28 and 0 < eps <= 1/c. After K steps the averaged iterate
 (x_{K-1} + x_K)/2 is within eps * ||x_0 - x*|| of the minimizer. The
 accelerated rule is the heavy-ball rule with c replaced by 2c, reflecting
-its halved step length.
+its halved step length, and ``theorem2_budget`` computes it that way: it
+checks its preconditions at c and returns theorem 1's report at 2c, with
+cond_bar and eps_max restated for c.
 
 ``sufficient_condition_chain`` evaluates the intermediate inequalities that
 link the transient norm bound 2 rho^{k-1} (k+1) <= eps to the explicit
@@ -20,7 +22,7 @@ of the two methods next to the classical long-step optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import PreconditionError
 
@@ -35,6 +37,7 @@ __all__ = [
     "MIN_COND_BAR",
 ]
 
+# The budgets and the fixed-parameter rules are only certified for cond_bar >= 28.
 MIN_COND_BAR = 28.0
 
 # Guard against floating noise right below an integer before taking ceil.
@@ -110,23 +113,13 @@ def theorem1_budget(cond_bar: float, eps: float, *, strict: bool = True) -> Comp
 def theorem2_budget(cond_bar: float, eps: float, *, strict: bool = True) -> ComplexityReport:
     """Accelerated-gradient budget K = 1 + ceil(2*sqrt(cond_bar) * ln(2/eps)).
 
-    The internal quantities are those of the heavy-ball derivation with
-    cond_bar replaced by 2*cond_bar (the step length is halved).
+    This is the heavy-ball report at 2*cond_bar (the step length is halved):
+    sqrt(2 * 2c) = 2 sqrt(c) exactly in float64. Only the preconditions, the
+    reported cond_bar and eps_max refer to cond_bar itself.
     """
     _check_budget_preconditions(cond_bar, eps, strict)
-    budget = 1 + _guarded_ceil(2.0 * math.sqrt(cond_bar) * math.log(2.0 / eps))
-    effective = 2.0 * cond_bar
-    delta = 1.0 / math.sqrt(2.0 * effective)
-    return ComplexityReport(
-        cond_bar=cond_bar,
-        eps=eps,
-        budget=budget,
-        delta=delta,
-        k_bar=(2.0 / delta) * math.log(1.0 / delta) - 1.0,
-        eps_bar=2.0 * delta * delta * math.exp(2.0 * delta),
-        eps_max=1.0 / cond_bar,
-        rho_asymptotic=1.0 - math.sqrt(1.0 / cond_bar),
-    )
+    report = theorem1_budget(2.0 * cond_bar, eps, strict=False)
+    return replace(report, cond_bar=cond_bar, eps_max=1.0 / cond_bar)
 
 
 @dataclass(frozen=True)

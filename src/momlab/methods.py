@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexity import MIN_COND_BAR
 from .errors import DimensionMismatchError, PreconditionError
 from .problems import EigenBounds, QuadraticProblem, _as_vector, gradient
 
@@ -40,9 +41,6 @@ __all__ = [
     "theorem2_params",
     "MIN_COND_BAR",
 ]
-
-# The fixed-parameter rules are only certified for cond_bar >= 28.
-MIN_COND_BAR = 28.0
 
 
 class MethodKind(enum.Enum):

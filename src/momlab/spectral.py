@@ -64,6 +64,9 @@ DOUBLE_ROOT_TOL = 1e-12
 # Admissible normalized step a_i = alpha * D_ii for the heavy-ball block.
 ALPHA_I_MAX = 2.0
 
+# Momentum axis {0, 0.05, ..., 0.95} of parameter_grid and the figure surfaces.
+_GRID_BETAS = tuple(0.05 * l for l in range(20))
+
 
 @dataclass(frozen=True)
 class BlockSpectrum:
@@ -112,18 +115,12 @@ def hbm_block(alpha_i: float, beta: float, *, strict: bool = True) -> np.ndarray
     With ``strict=False`` an out-of-range alpha_i only warns, so slightly
     "too long" steps can be explored.
     """
-    _check_beta(beta)
-    _check_alpha_hbm(alpha_i, strict)
-    return np.array([[0.0, 1.0], [-beta, 1.0 + beta - alpha_i]])
+    return analyze_hbm(alpha_i, beta, strict=strict).block()
 
 
 def nag_block(alpha_i: float, beta: float) -> np.ndarray:
     """Accelerated-gradient block [[0, 1], [-beta(1-a), (1+beta)(1-a)]]."""
-    _check_beta(beta)
-    if not alpha_i > 0.0:
-        raise DomainError(f"alpha_i must be positive, got {alpha_i}")
-    one_minus = 1.0 - alpha_i
-    return np.array([[0.0, 1.0], [-beta * one_minus, (1.0 + beta) * one_minus]])
+    return analyze_nag(alpha_i, beta).block()
 
 
 def _classify(trace: float, product: float):
@@ -141,33 +138,8 @@ def _classify(trace: float, product: float):
     return complex(0.0, g), lp, lp.conjugate(), math.sqrt(product), COMPLEX_PAIR
 
 
-def analyze_hbm(alpha_i: float, beta: float, *, strict: bool = True) -> BlockSpectrum:
-    """Spectral analysis of the heavy-ball block at (alpha_i, beta)."""
-    _check_beta(beta)
-    _check_alpha_hbm(alpha_i, strict)
-    trace = 1.0 + beta - alpha_i
-    gamma, lp, lm, rho, regime = _classify(trace, beta)
-    return BlockSpectrum(
-        alpha_i=alpha_i,
-        beta=beta,
-        beta_i=trace,
-        product=beta,
-        gamma=gamma,
-        lambda_plus=lp,
-        lambda_minus=lm,
-        rho=rho,
-        regime=regime,
-    )
-
-
-def analyze_nag(alpha_i: float, beta: float) -> BlockSpectrum:
-    """Spectral analysis of the accelerated-gradient block at (alpha_i, beta)."""
-    _check_beta(beta)
-    if not alpha_i > 0.0:
-        raise DomainError(f"alpha_i must be positive, got {alpha_i}")
-    one_minus = 1.0 - alpha_i
-    trace = (1.0 + beta) * one_minus
-    product = beta * one_minus
+def _companion(alpha_i: float, beta: float, trace: float, product: float) -> BlockSpectrum:
+    """Spectrum of the block [[0, 1], [-product, trace]] at (alpha_i, beta)."""
     gamma, lp, lm, rho, regime = _classify(trace, product)
     return BlockSpectrum(
         alpha_i=alpha_i,
@@ -180,6 +152,22 @@ def analyze_nag(alpha_i: float, beta: float) -> BlockSpectrum:
         rho=rho,
         regime=regime,
     )
+
+
+def analyze_hbm(alpha_i: float, beta: float, *, strict: bool = True) -> BlockSpectrum:
+    """Spectral analysis of the heavy-ball block at (alpha_i, beta)."""
+    _check_beta(beta)
+    _check_alpha_hbm(alpha_i, strict)
+    return _companion(alpha_i, beta, 1.0 + beta - alpha_i, beta)
+
+
+def analyze_nag(alpha_i: float, beta: float) -> BlockSpectrum:
+    """Spectral analysis of the accelerated-gradient block at (alpha_i, beta)."""
+    _check_beta(beta)
+    if not alpha_i > 0.0:
+        raise DomainError(f"alpha_i must be positive, got {alpha_i}")
+    one_minus = 1.0 - alpha_i
+    return _companion(alpha_i, beta, (1.0 + beta) * one_minus, beta * one_minus)
 
 
 def eigvec_condition(spec: BlockSpectrum) -> float:
@@ -236,11 +224,9 @@ def schur_factors(spec: BlockSpectrum) -> SchurFactors:
 
 def _powers(lam: complex, count: int) -> np.ndarray:
     """[lam^0, ..., lam^{count-1}] by cumulative products."""
-    out = np.empty(count, dtype=complex)
-    out[0] = 1.0
-    for i in range(1, count):
-        out[i] = out[i - 1] * lam
-    return out
+    factors = np.full(count, lam, dtype=complex)
+    factors[0] = 1.0
+    return np.cumprod(factors)
 
 
 def _cross_sum(lp: complex, lm: complex, k: int) -> complex:
@@ -374,7 +360,7 @@ def parameter_grid(
     """
     alphas = [alpha_step * j for j in range(1, int(round(alpha_max / alpha_step)) + 1)]
     if betas is None:
-        betas = [0.05 * l for l in range(20)]
+        betas = _GRID_BETAS
     grid = [(a, b) for a in alphas for b in betas]
     if include_double_root:
         grid.extend(snapped_double_root(a) for a in alphas)

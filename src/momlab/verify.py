@@ -185,16 +185,31 @@ def _log_tightness_lower(rho: float, k: int) -> float:
     return math.log(2.0) + (k + 1) * math.log(rho) + math.log(k - 1.0)
 
 
+def _sweep(label: str, grid, kmax: int, check_point, summary) -> SweepReport:
+    """Run ``check_point`` on every grid cell and assemble the report.
+
+    ``check_point`` returns (violation lines, *stats) per cell; ``summary``
+    turns the per-cell results into the text between the violation count and
+    the status of the last line. Violation lines are sorted.
+    """
+    if grid is None:
+        grid = parameter_grid(alpha_step=0.1)
+    results = _map_cells(check_point, list(grid))
+    violations = sorted(row for rows, *_ in results for row in rows)
+    status = "PASS" if not violations else "FAIL"
+    last = (
+        f"{label}: grid={len(grid)} kmax={kmax} violations={len(violations)}"
+        f" {summary(results)} {status}"
+    )
+    return SweepReport(label=label, passed=not violations, lines=[*violations, last])
+
+
 def verify_norm_bound(grid=None, kmax: int = 200) -> SweepReport:
     """Exact ||block^k|| <= 2 rho^{k-1} (k+1) over the grid, plus the
     double-root tightness ||block^k|| >= 2 rho^{k+1} (k-1) for k >= 2.
 
     Comparisons run in log space so deeply contracted powers stay exact.
     """
-    if grid is None:
-        grid = parameter_grid(alpha_step=0.1)
-    violations = []
-    worst_margin = -np.inf  # max of norm/bound over the sweep
 
     def check_point(point):
         alpha_i, beta = point
@@ -220,27 +235,16 @@ def verify_norm_bound(grid=None, kmax: int = 200) -> SweepReport:
                     )
         return rows, log_margin
 
-    for rows, log_margin in _map_cells(check_point, list(grid)):
-        violations.extend(rows)
-        worst_margin = max(worst_margin, log_margin)
+    def summary(results):
+        worst_margin = max([-math.inf, *(log_margin for _, log_margin in results)])
+        return f"max_norm_to_bound={math.exp(worst_margin):.6f}"
 
-    lines = sorted(violations)
-    status = "PASS" if not violations else "FAIL"
-    lines.append(
-        f"norm-bound: grid={len(grid)} kmax={kmax} violations={len(violations)}"
-        f" max_norm_to_bound={math.exp(worst_margin):.6f} {status}"
-    )
-    return SweepReport(label="norm-bound", passed=not violations, lines=lines)
+    return _sweep("norm-bound", grid, kmax, check_point, summary)
 
 
 def verify_schur(grid=None, kmax: int = 200) -> SweepReport:
     """Schur suite: reconstruction to 1e-12, cond(T) <= 3, and
     ||R^k|| <= rho^{k-1} (k+1) with exact norms."""
-    if grid is None:
-        grid = parameter_grid(alpha_step=0.1)
-    violations = []
-    worst_recon = 0.0
-    worst_cond = 0.0
 
     def check_point(point):
         alpha_i, beta = point
@@ -268,18 +272,12 @@ def verify_schur(grid=None, kmax: int = 200) -> SweepReport:
                 )
         return rows, recon, cond_t
 
-    for rows, recon, cond_t in _map_cells(check_point, list(grid)):
-        violations.extend(rows)
-        worst_recon = max(worst_recon, recon)
-        worst_cond = max(worst_cond, cond_t)
+    def summary(results):
+        worst_recon = max([0.0, *(recon for _, recon, _ in results)])
+        worst_cond = max([0.0, *(cond_t for _, _, cond_t in results)])
+        return f"max_reconstruction={worst_recon:.3e} max_cond_T={worst_cond:.6f}"
 
-    lines = sorted(violations)
-    status = "PASS" if not violations else "FAIL"
-    lines.append(
-        f"schur: grid={len(grid)} kmax={kmax} violations={len(violations)}"
-        f" max_reconstruction={worst_recon:.3e} max_cond_T={worst_cond:.6f} {status}"
-    )
-    return SweepReport(label="schur", passed=not violations, lines=lines)
+    return _sweep("schur", grid, kmax, check_point, summary)
 
 
 def clamped_eigvec_condition(alpha_i: float, beta: float, clamp: float = 20.0) -> float:

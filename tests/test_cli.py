@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momlab.cli import main
 from momlab.verify import verify_theorem
@@ -126,6 +128,39 @@ def test_run_rotated_spectrum_law(tmp_path):
     assert rows[-1, 2] <= 0.01
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    j=st.integers(-30, 30),
+    upper=st.floats(28.0, 1e3),
+    inner=st.lists(st.floats(0.0, 1.0), max_size=4),
+    source=st.sampled_from(["theorem1", "theorem2"]),
+    rotate=st.booleans(),
+)
+def test_run_csv_is_invariant_to_power_of_two_scaling(
+    tmp_path_factory, j, upper, inner, source, rotate
+):
+    # the theorem rules set alpha from 1/upper and beta and K from the
+    # condition number, so scaling the spectrum by 2^j leaves alpha * H, the
+    # budget and every iterate unchanged bit for bit
+    tmp = tmp_path_factory.mktemp("scaled")
+    spectrum = [1.0, *(1.0 + u * (upper - 1.0) for u in inner), upper]
+    csv = []
+    for scale in (1.0, 2.0**j):
+        cfg = {
+            "spectrum": [v * scale for v in spectrum],
+            "params": {"source": source},
+            "x0": "random-unit",
+            "eps": 1.0 / upper,
+            "rotate": rotate,
+            "seed": 11,
+            "out": str(tmp / f"{scale!r}.csv"),
+        }
+        (tmp / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp / "cfg.json")]) == 0
+        csv.append((tmp / f"{scale!r}.csv").read_bytes())
+    assert csv[0] == csv[1]
+
+
 @pytest.mark.parametrize(
     "patch",
     [
@@ -137,6 +172,15 @@ def test_run_rotated_spectrum_law(tmp_path):
         {"params": {"source": "explicit", "alpha": 0.1}},
         {"x0": "random"},
         {"shift": [1.0, 2.0]},  # shift without rotate
+        {"num_steps": True},  # a bool is not a step count
+        {"spectrum": [1.0, "a hundred"]},
+        {"x0": [1.0, "one"]},
+        {"seed": 1.5},
+        {"params": {"source": "explicit", "alpha": "fast", "beta": 0.85}},
+        {"params": {"source": "explicit", "alpha": -0.1, "beta": 0.85}},
+        {"x0": [1.0, None]},
+        {"spectrum": None, "n": 4, "cond": "big", "spectrum_law": "two-point"},
+        {"rotate": True, "shift": [0.0, None]},
     ],
 )
 def test_run_config_validation_errors(tmp_path, patch, capsys):
@@ -146,7 +190,8 @@ def test_run_config_validation_errors(tmp_path, patch, capsys):
     cfg = {k: v for k, v in cfg.items() if v is not None}
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path)]) == 3
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("momlab: error: ") and err.count("\n") == 1
 
 
 def test_run_bad_json_reports_line(tmp_path, capsys):
@@ -216,6 +261,34 @@ def test_figure_fig5_analogue(tmp_path):
     # the accelerated block is nilpotent at alpha_i = 1
     at_one = rows[rows[:, 0] == 1.0]
     assert np.array_equal(at_one[:, 2], np.zeros(len(at_one)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm1", "--seeds", "0"],
+        ["verify", "thm1", "--steps", "0"],
+        ["verify", "norm-bound", "--steps", "0"],
+        ["verify", "schur", "--steps", "-5"],
+        ["figure", "--figure", "fig1", "--steps", "0"],
+        ["figure", "--figure", "fig2", "--resolution", "0"],
+        ["run", "--config", "unused.json", "--steps", "zero"],
+    ],
+)
+def test_non_positive_counts_exit_3(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a regression must not write into the checkout
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "expected an integer >= 1" in err and err.count("\n") == 1
+
+
+def test_figure_without_rows_exits_3(tmp_path, capsys):
+    out = tmp_path / "fig3.csv"
+    assert main(["figure", "--figure", "fig3", "--resolution", "1", "--out", str(out)]) == 3
+    assert "no rows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figure_unknown_id(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -61,6 +62,18 @@ def test_theorem2_budget_cond100():
     assert report.rho_asymptotic == pytest.approx(0.9, abs=1e-15)
     # internals use the doubled condition bound
     assert report.delta == pytest.approx(1.0 / math.sqrt(400.0), abs=1e-16)
+
+
+@settings(deadline=None, max_examples=300)
+@given(cond=st.floats(28.0, 1e8), eps_factor=st.floats(1e-12, 1.0))
+def test_theorem2_budget_is_theorem1_budget_at_twice_the_condition(cond, eps_factor):
+    eps = eps_factor / cond
+    report = dataclasses.asdict(theorem2_budget(cond, eps))
+    # eps <= 1/c may exceed 1/(2c), so theorem 1's own preconditions are skipped
+    doubled = dataclasses.asdict(theorem1_budget(2.0 * cond, eps, strict=False))
+    assert report.pop("cond_bar") == cond and report.pop("eps_max") == 1.0 / cond
+    del doubled["cond_bar"], doubled["eps_max"]
+    assert report == doubled
 
 
 def test_theorem2_budget_below_threshold():

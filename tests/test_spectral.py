@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from momlab.errors import DomainError, InternalConsistencyError
+from momlab.methods import theorem1_params, theorem2_params
+from momlab.problems import EigenBounds
 from momlab.spectral import (
     COMPLEX_PAIR,
     DOUBLE_ROOT,
@@ -62,6 +64,28 @@ def test_nag_block_examples():
     assert np.array_equal(nag_block(0.5, 0.0), [[0.0, 1.0], [0.0, 0.5]])
     with pytest.raises(DomainError):
         nag_block(-0.1, 0.5)
+
+
+def test_blocks_are_the_analysis_blocks(fine_grid):
+    # each block formula lives in analyze_*; the constructors return its block
+    for a, b in fine_grid:
+        hbm = np.array([[0.0, 1.0], [-b, 1.0 + b - a]])
+        nag = np.array([[0.0, 1.0], [-b * (1.0 - a), (1.0 + b) * (1.0 - a)]])
+        assert np.array_equal(hbm_block(a, b), analyze_hbm(a, b).block())
+        assert np.array_equal(hbm_block(a, b), hbm)
+        assert np.array_equal(nag_block(a, b), analyze_nag(a, b).block())
+        assert np.array_equal(nag_block(a, b), nag)
+
+
+@pytest.mark.parametrize("cond", [28.0, 1e2, 1e3, 1e4, 1e6])
+def test_nag_block_is_hbm_block_at_twice_the_condition(cond):
+    # the accelerated rule at c and the heavy-ball rule at 2c give the same
+    # block at the smallest eigenvalue (theorem 2 is theorem 1 at 2c)
+    nag = theorem2_params(EigenBounds(1.0, cond))
+    hbm = theorem1_params(EigenBounds(1.0, 2.0 * cond))
+    np.testing.assert_array_max_ulp(
+        nag_block(nag.alpha, nag.beta), hbm_block(hbm.alpha, hbm.beta), maxulp=1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +261,24 @@ def test_r_power_small_cases():
     spec = analyze_hbm(0.3, 0.6)
     assert np.array_equal(r_power(spec, 0), np.eye(2, dtype=complex))
     assert np.array_equal(r_power(spec, 1), schur_factors(spec).R)
+
+
+def _loop_powers(lam, count):
+    out = np.empty(count, dtype=complex)
+    out[0] = 1.0
+    for i in range(1, count):
+        out[i] = out[i - 1] * lam
+    return out
+
+
+def test_cross_sums_match_the_loop_reference(coarse_grid):
+    # the power tables are cumulative products; the loop gives the same bits
+    for a, b in coarse_grid:
+        for spec in (analyze_hbm(a, b), analyze_nag(a, b)):
+            lp, lm = spec.lambda_plus, spec.lambda_minus
+            for k in (1, 2, 7, 100):
+                cross = np.sum(_loop_powers(lp, k) * _loop_powers(lm, k)[::-1])
+                assert r_power(spec, k)[0, 1] == cross
 
 
 @pytest.mark.parametrize("alpha_i,beta", [(0.019, 0.85), (0.5, 0.2), (1.0, 0.0),
