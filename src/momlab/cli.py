@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -36,6 +37,7 @@ from .methods import (
 from .problems import (
     DiagonalSpectrum,
     EigenBounds,
+    _as_vector,
     make_diagonal_problem,
     make_rotated_problem,
 )
@@ -189,7 +191,7 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
     elif cfg.alpha is not None or cfg.beta is not None:
         raise ConfigError("theorem parameter sources exclude 'params.alpha'/'params.beta'")
 
-    if cfg.method is not None and cfg.method not in _METHOD_NAMES:
+    if cfg.method is not None and not (isinstance(cfg.method, str) and cfg.method in _METHOD_NAMES):
         raise ConfigError(f"field 'method' must be one of {sorted(_METHOD_NAMES)}, got {cfg.method!r}")
     if cfg.source == "theorem1" and cfg.method not in (None, "mm", "hbm"):
         raise ConfigError("theorem1 parameters apply to methods 'mm'/'hbm'")
@@ -204,6 +206,10 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"field 'num_steps' must be an integer >= 1, got {cfg.num_steps!r}")
     if not _is_int(cfg.seed):
         raise ConfigError(f"field 'seed' must be an integer, got {cfg.seed!r}")
+    if not isinstance(cfg.out, str):
+        raise ConfigError(f"field 'out' must be a path string, got {cfg.out!r}")
+    if not isinstance(cfg.rotate, bool):
+        raise ConfigError(f"field 'rotate' must be true or false, got {cfg.rotate!r}")
 
     if not isinstance(cfg.x0, (list, str)):
         raise ConfigError("field 'x0' must be a vector or the string 'random-unit'")
@@ -225,6 +231,21 @@ def _spectrum_from_config(cfg: RunConfig) -> DiagonalSpectrum:
     else:
         values = np.geomspace(1.0, cond, n)
     return DiagonalSpectrum(values)
+
+
+def _predicted_rho(params: MethodParams, bounds: EigenBounds) -> float:
+    """max_i rho(block_i) over the spectrum of one run.
+
+    Block rho is largest at an end of the alpha_i interval for both
+    families, so the two ends alpha*lower and alpha*upper decide it.
+    """
+    ends = (params.alpha * bounds.lower, params.alpha * bounds.upper)
+    if params.kind in (MethodKind.NAG_TWO_SEQUENCE, MethodKind.NAG_COMPACT):
+        return max(analyze_nag(a, params.beta).rho for a in ends)
+    with warnings.catch_warnings():
+        # the heavy-ball block is defined past alpha_i = 2; its rho decides
+        warnings.simplefilter("ignore")
+        return max(analyze_hbm(a, params.beta, strict=False).rho for a in ends)
 
 
 def _cmd_run(args) -> int:
@@ -262,6 +283,12 @@ def _cmd_run(args) -> int:
             params = MethodParams(float(cfg.alpha), float(cfg.beta), _METHOD_NAMES[cfg.method])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"fields 'params.alpha'/'params.beta': {exc}") from exc
+        rho = _predicted_rho(params, bounds)
+        if not rho < 1.0:
+            raise ConfigError(
+                f"predicted spectral radius rho={_fmt(rho)} >= 1 at alpha={_fmt(params.alpha)}"
+                f" beta={_fmt(params.beta)}: the iteration does not converge"
+            )
 
     if cfg.num_steps is not None:
         num_steps = cfg.num_steps
@@ -274,7 +301,8 @@ def _cmd_run(args) -> int:
         v = rng.standard_normal(problem.dimension)
         x0 = problem.x_star + v / np.linalg.norm(v)
     else:
-        x0 = _convert("x0", cfg.x0, _floats)
+        # one start: run would take a (batch, n) stack, the CSV cannot
+        x0 = _as_vector(_convert("x0", cfg.x0, _floats), problem.dimension, "x0")
 
     traj = run(problem, params, x0, num_steps)
     avg = traj.averaged_distances()

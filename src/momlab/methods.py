@@ -27,7 +27,7 @@ import numpy as np
 
 from .complexity import MIN_COND_BAR
 from .errors import DimensionMismatchError, PreconditionError
-from .problems import EigenBounds, QuadraticProblem, _as_vector, gradient
+from .problems import EigenBounds, QuadraticProblem, _as_points, gradient
 
 __all__ = [
     "MethodKind",
@@ -78,7 +78,8 @@ class IterState:
 
 
 def init_state(problem: QuadraticProblem, params: MethodParams, x0) -> IterState:
-    x0 = _as_vector(x0, problem.dimension, "x0")
+    """State at k = 0 for a start ``x0`` of shape (n,) or a (batch, n) stack."""
+    x0 = _as_points(x0, problem.dimension, "x0")
     if params.kind is MethodKind.MM:
         return IterState(x_prev=x0, x_curr=x0, k=0, m_curr=-gradient(problem, x0))
     if params.kind is MethodKind.NAG_TWO_SEQUENCE:
@@ -92,9 +93,9 @@ def step(problem: QuadraticProblem, params: MethodParams, state: IterState) -> I
     """Apply one update of the selected recursion."""
     alpha, beta, kind = params.alpha, params.beta, params.kind
     x = state.x_curr
-    if x.size != problem.dimension:
+    if x.shape[-1] != problem.dimension:
         raise DimensionMismatchError(
-            f"state dimension {x.size} != problem dimension {problem.dimension}"
+            f"state dimension {x.shape[-1]} != problem dimension {problem.dimension}"
         )
 
     if kind is MethodKind.MM:
@@ -125,11 +126,16 @@ def step(problem: QuadraticProblem, params: MethodParams, state: IterState) -> I
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Iterates x_0..x_K, per-step distances to x*, and the averaged endpoint."""
+    """Iterates x_0..x_K, per-step distances to x*, and the averaged endpoint.
 
-    iterates: np.ndarray  # shape (K+1, n)
-    distances: np.ndarray  # shape (K+1,)
-    averaged_final: np.ndarray  # (x_{K-1} + x_K) / 2
+    A run from a (batch, n) stack of starts adds a batch axis after the step
+    axis: iterates (K+1, batch, n), distances (K+1, batch), averaged_final
+    (batch, n). Row j of each is the run from start j alone, bit for bit.
+    """
+
+    iterates: np.ndarray  # shape (K+1, n) or (K+1, batch, n)
+    distances: np.ndarray  # shape (K+1,) or (K+1, batch)
+    averaged_final: np.ndarray  # (x_{K-1} + x_K) / 2, shape (n,) or (batch, n)
     x_star: np.ndarray
 
     @property
@@ -143,22 +149,27 @@ class Trajectory:
         return 0.5 * (self.iterates[k - 1] + self.iterates[k])
 
     def averaged_distances(self) -> np.ndarray:
+        """Distances of the averaged iterates, shaped like ``distances``."""
         avgs = 0.5 * (self.iterates[:-1] + self.iterates[1:])
-        d = np.linalg.norm(avgs - self.x_star, axis=1)
-        return np.concatenate([[self.distances[0]], d])
+        d = np.linalg.norm(avgs - self.x_star, axis=-1)
+        return np.concatenate([self.distances[:1], d])
 
 
 def run(problem: QuadraticProblem, params: MethodParams, x0, num_steps: int) -> Trajectory:
-    """Apply ``step`` num_steps times, recording distances to the minimizer."""
+    """Apply ``step`` num_steps times, recording distances to the minimizer.
+
+    ``x0`` is one start of shape (n,) or a (batch, n) stack of starts that
+    are iterated together; see :class:`Trajectory` for the result shapes.
+    """
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
     state = init_state(problem, params, x0)
-    iterates = np.empty((num_steps + 1, problem.dimension))
+    iterates = np.empty((num_steps + 1, *state.x_curr.shape))
     iterates[0] = state.x_curr
     for k in range(1, num_steps + 1):
         state = step(problem, params, state)
         iterates[k] = state.x_curr
-    distances = np.linalg.norm(iterates - problem.x_star, axis=1)
+    distances = np.linalg.norm(iterates - problem.x_star, axis=-1)
     averaged_final = 0.5 * (iterates[-2] + iterates[-1])
     return Trajectory(
         iterates=iterates,

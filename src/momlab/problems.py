@@ -53,6 +53,16 @@ def _as_vector(x, n: int | None = None, what: str = "vector") -> np.ndarray:
     return v
 
 
+def _as_points(x, n: int, what: str = "x") -> np.ndarray:
+    """``x`` as a float array of shape (n,) or (batch, n)."""
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.ndim > 2:
+        raise DimensionMismatchError(f"{what} must be 1-d or 2-d, got shape {v.shape}")
+    if v.shape[-1] != n:
+        raise DimensionMismatchError(f"{what} has length {v.shape[-1]}, expected {n}")
+    return v
+
+
 @dataclass(frozen=True)
 class DiagonalSpectrum:
     """Positive eigenvalues of a diagonal Hessian, sorted ascending."""
@@ -198,9 +208,14 @@ def make_rotated_problem(spectrum, seed: int, shift) -> QuadraticProblem:
 
 
 def gradient(problem: QuadraticProblem, x) -> np.ndarray:
-    """grad f(x) = Hx - b."""
-    x = _as_vector(x, problem.dimension, "x")
-    return problem.hessian @ x - problem.linear_term
+    """grad f(x) = Hx - b for ``x`` of shape (n,), or row by row for a
+    (batch, n) stack; the result has the shape of ``x``.
+
+    The stacked product runs one matrix-vector product per row, so each row
+    is bitwise equal to the gradient of that row alone.
+    """
+    x = _as_points(x, problem.dimension, "x")
+    return np.matmul(problem.hessian, x[..., None])[..., 0] - problem.linear_term
 
 
 def minimizer(problem: QuadraticProblem) -> np.ndarray:

@@ -9,6 +9,7 @@ first. The file is loaded by path and not modified.
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,35 @@ def test_sweep_hooks_take_grid_and_kmax():
 
 def test_tracer_reports_nothing_missing():
     assert SPANS.Tracer().missing == []
+
+
+def test_traced_cli_ops_record_every_span(tmp_path, capsys):
+    # A hook that stops resolving, that the op no longer calls through its
+    # hooked name, or whose count extractor raises on a changed call, turns
+    # the benchmark's per-layer metrics into null.
+    from momlab.cli import main
+
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "spectrum": [1.0, 50.0], "method": "hbm", "num_steps": 5,
+        "params": {"source": "explicit", "alpha": 0.03, "beta": 0.5},
+    }))
+    ops = [
+        (["run", "--config", str(config), "--out", str(tmp_path / "run.csv")],
+         {"problems.build", "methods.run", "cli.write_csv"}),
+        (["verify", "thm1", "--cond", "30", "--eps", "0.03", "--seeds", "2"],
+         {"verify.theorem", "problems.build", "methods.run", "methods.params",
+          "complexity.budget"}),
+        (["verify", "norm-bound", "--steps", "3"],
+         {"verify.sweep", "spectral.analyze", "verify.log_power_norms"}),
+    ]
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        for argv, expected in ops:
+            assert main(argv) == 0
+            recorded = {span[1] for span in tracer.drain()}
+            assert expected <= recorded, argv
+    finally:
+        tracer.uninstall()
+    assert tracer.missing_spans == set()

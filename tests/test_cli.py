@@ -161,6 +161,9 @@ def test_run_csv_is_invariant_to_power_of_two_scaling(
     assert csv[0] == csv[1]
 
 
+JSON_NULL = object()  # a patch value written as JSON null; None deletes the key
+
+
 @pytest.mark.parametrize(
     "patch",
     [
@@ -181,17 +184,53 @@ def test_run_csv_is_invariant_to_power_of_two_scaling(
         {"x0": [1.0, None]},
         {"spectrum": None, "n": 4, "cond": "big", "spectrum_law": "two-point"},
         {"rotate": True, "shift": [0.0, None]},
+        {"method": ["hbm"]},  # not a method name
+        {"out": JSON_NULL},
+        {"rotate": "no"},  # only a JSON bool selects rotation
+        {"x0": [[1.0, 1.0]]},  # one start, not a stack
     ],
 )
 def test_run_config_validation_errors(tmp_path, patch, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg = _write_config(cfg_path)
     cfg.update(patch)
-    cfg = {k: v for k, v in cfg.items() if v is not None}
+    cfg = {k: (None if v is JSON_NULL else v) for k, v in cfg.items() if v is not None}
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("momlab: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "method, alpha, beta",
+    [
+        ("nag", 0.019, 0.5),  # alpha*upper = 1.9: NAG rho = 1.63
+        ("nag-compact", 0.019, 0.5),
+        ("hbm", 0.031, 0.5),  # alpha*upper = 3.1 > 2 (1 + beta)
+        ("mm", 0.02, 0.0),  # rho = 1 exactly: gradient descent at alpha*upper = 2
+    ],
+)
+def test_run_refuses_a_diverging_explicit_rule(tmp_path, capsys, recwarn, method, alpha, beta):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(
+        cfg_path, method=method, params={"source": "explicit", "alpha": alpha, "beta": beta},
+        num_steps=2000,
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("momlab: error: predicted spectral radius rho=") and err.count("\n") == 1
+    assert not (tmp_path / "run.csv").exists()
+    assert len(recwarn) == 0
+
+
+def test_run_accepts_a_converging_heavy_ball_step_past_two(tmp_path, recwarn):
+    # alpha*upper = 2.5 lies outside the analysed (0, 2] but below 2 (1 + beta)
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, params={"source": "explicit", "alpha": 0.025, "beta": 0.5})
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    _, rows = _read_csv(tmp_path / "run.csv")
+    assert rows[-1, 1] < rows[0, 1]
+    assert len(recwarn) == 0
 
 
 def test_run_bad_json_reports_line(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momlab.errors import PreconditionError
+from momlab.errors import DimensionMismatchError, PreconditionError
 from momlab.methods import (
     MethodKind,
     MethodParams,
@@ -15,7 +15,7 @@ from momlab.methods import (
     theorem1_params,
     theorem2_params,
 )
-from momlab.problems import EigenBounds, make_diagonal_problem, make_rotated_problem
+from momlab.problems import EigenBounds, gradient, make_diagonal_problem, make_rotated_problem
 
 
 FIG1_PARAMS = MethodParams(1.9 / 100.0, 0.85, MethodKind.HBM)
@@ -177,6 +177,55 @@ def test_trajectory_bookkeeping():
     assert avg[3] == pytest.approx(np.linalg.norm(traj.averaged_iterate(3)))
     with pytest.raises(ValueError):
         run(p, FIG1_PARAMS, [1.0, 1.0], 0)
+
+
+def _batch_problems():
+    rng = np.random.default_rng(11)
+    eig = np.geomspace(1.0, 100.0, 50)
+    return [
+        make_diagonal_problem([1.0, 100.0]),
+        make_rotated_problem(eig, seed=4, shift=rng.standard_normal(50)),
+    ]
+
+
+@pytest.mark.parametrize("problem", _batch_problems(), ids=["diagonal-2", "rotated-50"])
+@pytest.mark.parametrize("kind", list(MethodKind), ids=lambda kind: kind.value)
+def test_batched_run_equals_per_row_runs_bitwise(problem, kind):
+    heavy_ball = kind in (MethodKind.MM, MethodKind.HBM)
+    params = MethodParams(0.019, 0.85, kind) if heavy_ball else MethodParams(0.01, 0.8, kind)
+    starts = problem.x_star + np.random.default_rng(5).standard_normal((5, problem.dimension))
+    batch = run(problem, params, starts, 60)
+    assert batch.iterates.shape == (61, 5, problem.dimension)
+    assert batch.distances.shape == (61, 5)
+    batch_avg = batch.averaged_distances()
+    assert batch_avg.shape == (61, 5)
+    for j, x0 in enumerate(starts):
+        single = run(problem, params, x0, 60)
+        assert np.array_equal(batch.iterates[:, j], single.iterates)
+        assert np.array_equal(batch.distances[:, j], single.distances)
+        assert np.array_equal(batch.averaged_final[j], single.averaged_final)
+        assert np.array_equal(batch_avg[:, j], single.averaged_distances())
+
+
+@pytest.mark.parametrize("problem", _batch_problems(), ids=["diagonal-2", "rotated-50"])
+def test_gradient_of_a_stack_is_the_per_row_gradient_bitwise(problem):
+    xs = np.random.default_rng(6).standard_normal((5, problem.dimension))
+    stacked = gradient(problem, xs)
+    assert stacked.shape == xs.shape
+    for x, g in zip(xs, stacked):
+        assert np.array_equal(g, gradient(problem, x))
+
+
+def test_run_rejects_bad_start_shapes():
+    p = make_diagonal_problem([1, 100])
+    with pytest.raises(DimensionMismatchError):
+        run(p, FIG1_PARAMS, np.ones((2, 3, 2)), 5)
+    with pytest.raises(DimensionMismatchError):
+        run(p, FIG1_PARAMS, np.ones((4, 3)), 5)
+    with pytest.raises(DimensionMismatchError):
+        gradient(p, np.ones((2, 3, 2)))
+    with pytest.raises(DimensionMismatchError):
+        gradient(p, np.ones(3))
 
 
 def test_theorem1_params_cond100():

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momlab.errors import DomainError, InternalConsistencyError
 from momlab.methods import theorem1_params, theorem2_params
@@ -183,6 +186,28 @@ def test_flat_rho_and_overlong_step():
     with pytest.warns(UserWarning, match="outside"):
         overlong = analyze_hbm(2.05, 0.9, strict=False)
     assert overlong.rho < 1.0
+
+
+def _rho_of(family, alpha_i, beta):
+    if family == "nag":
+        return analyze_nag(alpha_i, beta).rho
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # past alpha_i = 2 on purpose
+        return analyze_hbm(alpha_i, beta, strict=False).rho
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    family=st.sampled_from(["hbm", "nag"]),
+    beta=st.floats(0.0, 0.99),
+    ends=st.tuples(st.floats(1e-4, 4.5), st.floats(1e-4, 4.5)),
+)
+def test_block_rho_peaks_at_an_end_of_the_alpha_interval(family, beta, ends):
+    # `momlab run` predicts max_i rho(block_i) from alpha*lower and alpha*upper only
+    lo, hi = sorted(ends)
+    dense = max(_rho_of(family, a, beta) for a in np.linspace(lo, hi, 401))
+    at_ends = max(_rho_of(family, lo, beta), _rho_of(family, hi, beta))
+    assert dense <= at_ends * (1.0 + 1e-12)
 
 
 def test_beta_tradeoff_at_small_alpha():
