@@ -2,15 +2,15 @@
 
 
 class InvalidSpectrumError(ValueError):
-    """A spectrum contains a non-positive or non-finite eigenvalue."""
+    """A non-finite value in a spectrum or problem, or a non-positive eigenvalue."""
 
 
 class NotPositiveDefiniteError(ValueError):
-    """A user-supplied matrix failed the elimination-based definiteness test."""
+    """A user-supplied matrix failed the Cholesky definiteness test."""
 
 
 class SingularMatrixError(ValueError):
-    """A pivot fell below the singularity tolerance during elimination."""
+    """A Hessian's min |eigenvalue| is below SINGULARITY_RTOL times its max."""
 
 
 class DimensionMismatchError(ValueError):

@@ -4,8 +4,9 @@ A problem is f(x) = 1/2 x'Hx - b'x with H symmetric positive definite, so
 grad f(x) = Hx - b and the unique minimizer solves Hx* = b. All problems are
 built from an explicit positive spectrum -- either as a diagonal matrix or
 conjugated by a seeded random rotation -- which guarantees definiteness by
-construction. Arbitrary matrices are accepted only through
-``QuadraticProblem.from_matrix``, which runs a Cholesky rejection test.
+construction. Rotations come from sign-fixed Householder QR. Arbitrary
+matrices are accepted only through ``QuadraticProblem.from_matrix``, which
+runs a Cholesky rejection test. Minimizers come from a LAPACK solve.
 
 Everything is dense, row-major float64, and immutable after construction.
 """
@@ -35,7 +36,7 @@ __all__ = [
     "gershgorin_upper",
 ]
 
-# Pivot magnitudes below SINGULARITY_RTOL * max|H| abort the direct solve.
+# A Hessian with min|eig| < SINGULARITY_RTOL * max|eig| is rejected as singular.
 SINGULARITY_RTOL = 1e-12
 
 
@@ -108,34 +109,13 @@ class EigenBounds:
         return cls(float(eig[0]), float(eig[-1]))
 
 
-def _solve_partial_pivoting(h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct elimination with partial pivoting; raises on tiny pivots."""
-    n = h.shape[0]
-    a = np.concatenate([h.astype(float), b.reshape(-1, 1).astype(float)], axis=1)
-    tol = SINGULARITY_RTOL * float(np.abs(h).max())
-    for col in range(n):
-        piv_row = col + int(np.argmax(np.abs(a[col:, col])))
-        piv = a[piv_row, col]
-        if abs(piv) < tol or piv == 0.0:
-            raise SingularMatrixError(
-                f"pivot {piv:.3e} in column {col} below tolerance {tol:.3e}"
-            )
-        if piv_row != col:
-            a[[col, piv_row]] = a[[piv_row, col]]
-        factors = a[col + 1 :, col] / piv
-        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (a[i, n] - a[i, i + 1 : n] @ x[i + 1 :]) / a[i, i]
-    return x
-
-
 @dataclass(frozen=True, eq=False)
 class QuadraticProblem:
     """f(x) = 1/2 x'Hx - b'x with H symmetric positive definite.
 
-    The minimizer is solved once at construction (direct elimination with
-    partial pivoting) and stored read-only in ``x_star``.
+    Both arrays must be finite, and H must pass the eigenvalue singularity
+    test, which a rotation of the problem does not change. The minimizer is
+    solved once at construction (LAPACK) and stored read-only in ``x_star``.
     """
 
     hessian: np.ndarray
@@ -147,8 +127,20 @@ class QuadraticProblem:
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionMismatchError(f"hessian must be square, got shape {h.shape}")
         b = _as_vector(self.linear_term, h.shape[0], "linear_term")
-        h = 0.5 * (h + h.T)  # store exactly symmetric
-        x_star = _solve_partial_pivoting(h, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = 0.5 * (h + h.T)  # store exactly symmetric
+        if not (np.isfinite(h).all() and np.isfinite(b).all()):
+            raise InvalidSpectrumError("hessian and linear_term must be finite")
+        eig = np.abs(np.linalg.eigvalsh(h))
+        lo, tol = eig.min(), SINGULARITY_RTOL * eig.max()
+        if lo < tol:
+            raise SingularMatrixError(
+                f"smallest eigenvalue magnitude {lo:.3e} below tolerance {tol:.3e}"
+            )
+        try:
+            x_star = np.linalg.solve(h, b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"hessian is singular: {exc}") from exc
         object.__setattr__(self, "hessian", _frozen(h))
         object.__setattr__(self, "linear_term", _frozen(b))
         object.__setattr__(self, "x_star", _frozen(x_star))
@@ -181,18 +173,17 @@ def make_diagonal_problem(spectrum) -> QuadraticProblem:
 
 
 def random_orthogonal(n: int, seed: int) -> np.ndarray:
-    """Seeded random orthogonal matrix: Gaussian fill + modified Gram-Schmidt."""
+    """Seeded random orthogonal matrix: the Q factor of a Gaussian fill.
+
+    Householder QR with each column's sign flipped so that R has a positive
+    diagonal; that is the Q of Gram-Schmidt on the same fill, up to rounding.
+    """
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    q = np.empty_like(a)
-    for j in range(n):
-        v = a[:, j].copy()
-        for i in range(j):
-            v -= (q[:, i] @ v) * q[:, i]
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            raise RuntimeError("degenerate Gaussian sample while orthonormalizing")
-        q[:, j] = v / norm
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    r_diag = np.diag(r)
+    if np.abs(r_diag).min() < 1e-12:
+        raise RuntimeError("degenerate Gaussian sample while orthonormalizing")
+    q *= np.copysign(1.0, r_diag)
     return q
 
 
@@ -202,9 +193,11 @@ def make_rotated_problem(spectrum, seed: int, shift) -> QuadraticProblem:
         spectrum = DiagonalSpectrum(spectrum)
     shift = _as_vector(shift, spectrum.n, "shift")
     q = random_orthogonal(spectrum.n, seed)
-    h = q.T @ np.diag(spectrum.eigenvalues) @ q
+    h = (q.T * spectrum.eigenvalues) @ q  # q.T @ diag(eigenvalues) @ q
     h = 0.5 * (h + h.T)
-    return QuadraticProblem(h, h @ shift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = h @ shift  # an overflow here is rejected as non-finite
+    return QuadraticProblem(h, b)
 
 
 def gradient(problem: QuadraticProblem, x) -> np.ndarray:

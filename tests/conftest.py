@@ -16,6 +16,19 @@ def fine_grid():
     return parameter_grid(alpha_step=0.02)
 
 
+def gram_schmidt_orthogonal(n: int, seed: int) -> np.ndarray:
+    """Reference rotation: modified Gram-Schmidt on the Gaussian fill that
+    ``momlab.problems.random_orthogonal`` draws for the same seed."""
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    q = np.empty_like(a)
+    for j in range(n):
+        v = a[:, j].copy()
+        for i in range(j):
+            v -= (q[:, i] @ v) * q[:, i]
+        q[:, j] = v / np.linalg.norm(v)
+    return q
+
+
 def batched_sigma_max(mats: np.ndarray) -> np.ndarray:
     """Largest singular values of a stack (..., 2, 2), re-derived from the
     Gram matrix so it is independent of the library implementation."""

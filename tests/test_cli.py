@@ -188,6 +188,10 @@ JSON_NULL = object()  # a patch value written as JSON null; None deletes the key
         {"out": JSON_NULL},
         {"rotate": "no"},  # only a JSON bool selects rotation
         {"x0": [[1.0, 1.0]]},  # one start, not a stack
+        {  # a finite shift whose linear term H @ shift overflows
+            "spectrum": None, "n": 3, "cond": 100, "spectrum_law": "log-uniform",
+            "rotate": True, "shift": [1e308, 1e308, 1e308], "x0": "random-unit",
+        },
     ],
 )
 def test_run_config_validation_errors(tmp_path, patch, capsys):
@@ -199,6 +203,7 @@ def test_run_config_validation_errors(tmp_path, patch, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("momlab: error: ") and err.count("\n") == 1
+    assert not (tmp_path / "run.csv").exists()
 
 
 @pytest.mark.parametrize(

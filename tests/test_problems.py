@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import gram_schmidt_orthogonal
 
 from momlab.errors import (
     DimensionMismatchError,
@@ -99,6 +100,26 @@ def test_singular_hessian_rejected():
         QuadraticProblem(np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros(2))
 
 
+@pytest.mark.parametrize("rotate", [False, True])
+def test_singularity_test_is_rotation_invariant(rotate):
+    # a problem and its rotation share one spectrum, so the eigenvalue test
+    # rejects both at cond 1e13 and accepts both at cond 1e11
+    def build(cond):
+        spectrum = np.geomspace(1.0, cond, 6)
+        if rotate:
+            return make_rotated_problem(spectrum, seed=2, shift=np.zeros(6))
+        return make_diagonal_problem(spectrum)
+
+    with pytest.raises(SingularMatrixError):
+        build(1e13)
+    build(1e11)
+
+
+def test_nearly_singular_dense_hessian_rejected():
+    with pytest.raises(SingularMatrixError):
+        QuadraticProblem(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]), np.zeros(2))
+
+
 def test_gershgorin_examples():
     assert gershgorin_upper(make_diagonal_problem([1, 100])) == 100.0
 
@@ -149,6 +170,15 @@ def test_random_orthogonal_deterministic_and_orthogonal():
     assert np.array_equal(q1, q2)
     assert np.abs(q1.T @ q1 - np.eye(6)).max() <= 1e-12
     assert not np.allclose(q1, random_orthogonal(6, seed=124))
+
+
+@pytest.mark.parametrize("n", [1, 2, 60, 400])
+def test_random_orthogonal_matches_gram_schmidt(n):
+    q = random_orthogonal(n, seed=n + 3)
+    ref = gram_schmidt_orthogonal(n, seed=n + 3)
+    assert np.abs(q - ref).max() <= 1e-12
+    # the same column signs, not merely the same columns up to sign
+    assert np.all(np.sign(np.einsum("ij,ij->j", q, ref)) == 1.0)
 
 
 def test_rotated_run_matches_diagonal_run():
