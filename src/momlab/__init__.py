@@ -29,13 +29,10 @@ from .errors import (
     SingularMatrixError,
 )
 from .methods import (
-    IterState,
     MethodKind,
     MethodParams,
     Trajectory,
-    init_state,
     run,
-    step,
     theorem1_params,
     theorem2_params,
 )

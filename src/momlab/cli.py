@@ -304,13 +304,20 @@ def _cmd_run(args) -> int:
         # one start: run would take a (batch, n) stack, the CSV cannot
         x0 = _as_vector(_convert("x0", cfg.x0, _floats), problem.dimension, "x0")
 
-    traj = run(problem, params, x0, num_steps)
-    avg = traj.averaged_distances()
-    rows = [(k, traj.distances[k], avg[k]) for k in range(num_steps + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = run(problem, params, x0, num_steps)
+        dist, avg = traj.distances, traj.averaged_distances()
+    finite = np.isfinite(dist) & np.isfinite(avg)
+    if not finite.all():
+        raise ConfigError(
+            f"distance to the minimizer is not a finite float64 at step {int(np.argmin(finite))}:"
+            " x0 or shift is too large"
+        )
+    rows = [(k, dist[k], avg[k]) for k in range(num_steps + 1)]
     _write_csv(cfg.out, ["k", "distance", "averaged_distance"], rows)
     print(
         f"run: method={params.kind.value} alpha={_fmt(params.alpha)} beta={_fmt(params.beta)}"
-        f" steps={num_steps} final_distance={_fmt(traj.distances[-1])}"
+        f" steps={num_steps} final_distance={_fmt(dist[-1])}"
         f" averaged_distance={_fmt(avg[-1])} out={cfg.out}"
     )
     return EXIT_OK

@@ -1,17 +1,23 @@
-"""Momentum-type iterations with fixed step length and momentum.
+"""Fixed-parameter momentum-type iterations, run in the Hessian's eigenbasis.
 
-Four equivalent-by-pairs recursions are implemented:
+Four method kinds name two iterations (g = grad f):
 
-* ``MM``: x_{k+1} = x_k + a*m_k,  m_{k+1} = b*m_k - grad f(x_{k+1}),
-  started from m_0 = -grad f(x_0).
-* ``HBM``: x_{k+1} = x_k - a*grad f(x_k) + b*(x_k - x_{k-1}), started
-  from x_{-1} := x_0. MM and HBM generate the same iterates.
-* ``NAG_TWO_SEQUENCE``: y_{k+1} = x_k - a*grad f(x_k),
-  x_{k+1} = y_{k+1} + b*(y_{k+1} - y_k), started from y_0 := x_0.
-* ``NAG_COMPACT``: the single-sequence form
-  x_{k+1} = x_k - a*grad f(x_k) + b*(x_k - x_{k-1} - a*(grad f(x_k) -
-  grad f(x_{k-1}))), with grad f(x_{-1}) replaced by 0 in the very first
-  step so that it reproduces the two-sequence iterates exactly.
+* ``MM``: x_{k+1} = x_k + a*m_k, m_{k+1} = b*m_k - g(x_{k+1}), m_0 = -g(x_0),
+  and ``HBM``: x_{k+1} = x_k - a*g(x_k) + b*(x_k - x_{k-1}), x_{-1} := x_0,
+  generate the same iterates.
+* ``NAG_TWO_SEQUENCE``: y_{k+1} = x_k - a*g(x_k),
+  x_{k+1} = y_{k+1} + b*(y_{k+1} - y_k), y_0 := x_0, and ``NAG_COMPACT``,
+  its single-sequence form, likewise.
+
+On f(x) = 1/2 x'Hx - b'x with H = Q' diag(d) Q, the error z = Q(x - x*)
+evolves coordinate by coordinate as z_{k+1} = C z_k - B z_{k-1}: C = 1 + b -
+a*d, B = b for heavy ball and C = (1 + b)(1 - a*d), B = b(1 - a*d) for the
+accelerated form. :func:`run` iterates exactly that, in one elementwise loop
+for all four kinds: ``MM`` runs as ``HBM`` and ``NAG_COMPACT`` as
+``NAG_TWO_SEQUENCE``. Distances are norms of z, so they carry no rounding
+floor from forming Hx - b near x*. The four hand-written state machines on
+the dense gradient live in :mod:`momlab.oracle`, as the reference ``run``
+is tested against.
 
 ``theorem1_params`` / ``theorem2_params`` produce the fixed parameters the
 worst-case budget calculators in :mod:`momlab.complexity` certify.
@@ -22,20 +28,24 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .complexity import MIN_COND_BAR
-from .errors import DimensionMismatchError, PreconditionError
-from .problems import EigenBounds, QuadraticProblem, _as_points, gradient
+from .errors import PreconditionError
+from .problems import (
+    EigenBounds,
+    QuadraticProblem,
+    _as_points,
+    _from_eigenbasis,
+    _to_eigenbasis,
+)
 
 __all__ = [
     "MethodKind",
     "MethodParams",
-    "IterState",
     "Trajectory",
-    "init_state",
-    "step",
     "run",
     "theorem1_params",
     "theorem2_params",
@@ -65,82 +75,43 @@ class MethodParams:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
 
 
-@dataclass(frozen=True)
-class IterState:
-    """One step of iteration state; extra fields are kind-specific."""
-
-    x_prev: np.ndarray
-    x_curr: np.ndarray
-    k: int
-    m_curr: np.ndarray | None = None  # MM running direction
-    y_curr: np.ndarray | None = None  # NAG auxiliary sequence
-    g_prev: np.ndarray | None = None  # NAG compact form: previous gradient
-
-
-def init_state(problem: QuadraticProblem, params: MethodParams, x0) -> IterState:
-    """State at k = 0 for a start ``x0`` of shape (n,) or a (batch, n) stack."""
-    x0 = _as_points(x0, problem.dimension, "x0")
-    if params.kind is MethodKind.MM:
-        return IterState(x_prev=x0, x_curr=x0, k=0, m_curr=-gradient(problem, x0))
-    if params.kind is MethodKind.NAG_TWO_SEQUENCE:
-        return IterState(x_prev=x0, x_curr=x0, k=0, y_curr=x0)
-    if params.kind is MethodKind.NAG_COMPACT:
-        return IterState(x_prev=x0, x_curr=x0, k=0, g_prev=np.zeros_like(x0))
-    return IterState(x_prev=x0, x_curr=x0, k=0)
-
-
-def step(problem: QuadraticProblem, params: MethodParams, state: IterState) -> IterState:
-    """Apply one update of the selected recursion."""
-    alpha, beta, kind = params.alpha, params.beta, params.kind
-    x = state.x_curr
-    if x.shape[-1] != problem.dimension:
-        raise DimensionMismatchError(
-            f"state dimension {x.shape[-1]} != problem dimension {problem.dimension}"
-        )
-
-    if kind is MethodKind.MM:
-        if state.m_curr is None:
-            raise ValueError("state carries no running direction; use init_state")
-        x_next = x + alpha * state.m_curr
-        m_next = beta * state.m_curr - gradient(problem, x_next)
-        return IterState(x_prev=x, x_curr=x_next, k=state.k + 1, m_curr=m_next)
-
-    if kind is MethodKind.HBM:
-        x_next = x - alpha * gradient(problem, x) + beta * (x - state.x_prev)
-        return IterState(x_prev=x, x_curr=x_next, k=state.k + 1)
-
-    if kind is MethodKind.NAG_TWO_SEQUENCE:
-        if state.y_curr is None:
-            raise ValueError("state carries no auxiliary sequence; use init_state")
-        y_next = x - alpha * gradient(problem, x)
-        x_next = y_next + beta * (y_next - state.y_curr)
-        return IterState(x_prev=x, x_curr=x_next, k=state.k + 1, y_curr=y_next)
-
-    if state.g_prev is None:
-        raise ValueError("state carries no previous gradient; use init_state")
-    # g_prev is 0 at k = 0 by the initialization convention
-    g = gradient(problem, x)
-    x_next = x - alpha * g + beta * (x - state.x_prev - alpha * (g - state.g_prev))
-    return IterState(x_prev=x, x_curr=x_next, k=state.k + 1, g_prev=g)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Iterates x_0..x_K, per-step distances to x*, and the averaged endpoint.
+    """A run's error coordinates z_k = Q(x_k - x*), k = 0..K, and what they
+    give: distances to x*, the averaged endpoint and the iterates x_k.
 
-    A run from a (batch, n) stack of starts adds a batch axis after the step
-    axis: iterates (K+1, batch, n), distances (K+1, batch), averaged_final
-    (batch, n). Row j of each is the run from start j alone, bit for bit.
+    Distances are norms of z, so they form no x-space iterate; ``iterates``
+    rotates back on first access. A run from a (batch, n) stack of starts
+    adds a batch axis after the step axis: errors and iterates
+    (K+1, batch, n), distances (K+1, batch), averaged_final (batch, n). Row j
+    of each is the run from start j alone, bit for bit.
     """
 
-    iterates: np.ndarray  # shape (K+1, n) or (K+1, batch, n)
-    distances: np.ndarray  # shape (K+1,) or (K+1, batch)
-    averaged_final: np.ndarray  # (x_{K-1} + x_K) / 2, shape (n,) or (batch, n)
-    x_star: np.ndarray
+    errors: np.ndarray  # z_k, shape (K+1, n) or (K+1, batch, n)
+    problem: QuadraticProblem
 
     @property
     def num_steps(self) -> int:
-        return self.iterates.shape[0] - 1
+        return self.errors.shape[0] - 1
+
+    @property
+    def x_star(self) -> np.ndarray:
+        return self.problem.x_star
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """||x_k - x*||, shape (K+1,) or (K+1, batch)."""
+        return np.linalg.norm(self.errors, axis=-1)
+
+    @cached_property
+    def iterates(self) -> np.ndarray:
+        """x_k = x* + Q'z_k, shape (K+1, n) or (K+1, batch, n)."""
+        return _from_eigenbasis(self.problem, self.errors)
+
+    @cached_property
+    def averaged_final(self) -> np.ndarray:
+        """(x_{K-1} + x_K) / 2, shape (n,) or (batch, n)."""
+        return _from_eigenbasis(self.problem, 0.5 * (self.errors[-2] + self.errors[-1]))
 
     def averaged_iterate(self, k: int) -> np.ndarray:
         """(x_{k-1} + x_k)/2; equals x_0 at k = 0 by the x_{-1} := x_0 convention."""
@@ -150,33 +121,36 @@ class Trajectory:
 
     def averaged_distances(self) -> np.ndarray:
         """Distances of the averaged iterates, shaped like ``distances``."""
-        avgs = 0.5 * (self.iterates[:-1] + self.iterates[1:])
-        d = np.linalg.norm(avgs - self.x_star, axis=-1)
+        z = self.errors
+        d = np.linalg.norm(0.5 * (z[:-1] + z[1:]), axis=-1)
         return np.concatenate([self.distances[:1], d])
 
 
 def run(problem: QuadraticProblem, params: MethodParams, x0, num_steps: int) -> Trajectory:
-    """Apply ``step`` num_steps times, recording distances to the minimizer.
+    """Iterate num_steps times from ``x0`` in the problem's eigenbasis.
 
-    ``x0`` is one start of shape (n,) or a (batch, n) stack of starts that
-    are iterated together; see :class:`Trajectory` for the result shapes.
+    Per coordinate with curvature d, y_k = z_k - alpha*(d*z_k) is the
+    gradient step and z_{k+1} = y_k + beta*(u_k - u_{k-1}) adds momentum,
+    with u = z for the heavy-ball kinds and u = y for the accelerated kinds,
+    and u_{-1} := z_0. This is the dense recursions' evaluation order, so a
+    diagonal HBM or NAG run reproduces them bit for bit. ``x0`` is one start
+    of shape (n,) or a (batch, n) stack of starts that are iterated
+    together; see :class:`Trajectory` for the result.
     """
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-    state = init_state(problem, params, x0)
-    iterates = np.empty((num_steps + 1, *state.x_curr.shape))
-    iterates[0] = state.x_curr
-    for k in range(1, num_steps + 1):
-        state = step(problem, params, state)
-        iterates[k] = state.x_curr
-    distances = np.linalg.norm(iterates - problem.x_star, axis=-1)
-    averaged_final = 0.5 * (iterates[-2] + iterates[-1])
-    return Trajectory(
-        iterates=iterates,
-        distances=distances,
-        averaged_final=averaged_final,
-        x_star=problem.x_star.copy(),
-    )
+    z0 = _to_eigenbasis(problem, _as_points(x0, problem.dimension, "x0"))
+    alpha, beta, d = params.alpha, params.beta, problem.eigenvalues
+    accelerated = params.kind in (MethodKind.NAG_TWO_SEQUENCE, MethodKind.NAG_COMPACT)
+    errors = np.empty((num_steps + 1, *z0.shape))
+    errors[0] = u_prev = z0
+    for k in range(num_steps):
+        z = errors[k]
+        y = z - alpha * (d * z)
+        u = y if accelerated else z
+        np.add(y, beta * (u - u_prev), out=errors[k + 1])
+        u_prev = u
+    return Trajectory(errors=errors, problem=problem)
 
 
 def _require_cond(bounds: EigenBounds) -> float:

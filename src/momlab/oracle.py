@@ -1,20 +1,35 @@
-"""Naive brute-force references for the closed-form results.
+"""Naive brute-force references for the closed-form results and the kernel.
 
 Deliberately simple: matrix powers by repeated multiplication, eigenvalues
-from the characteristic polynomial of the actual matrix entries, and the
-full 2n x 2n system matrix applied step by step. Kept free of any shared
-algebra with :mod:`momlab.spectral` so a formula bug cannot hide in its own
-check.
+from the characteristic polynomial of the actual matrix entries, the full
+2n x 2n system matrix applied step by step, and the four iterations as
+hand-written state machines on the dense gradient Hx - b in x-space:
+
+* ``MM``: x_{k+1} = x_k + a*m_k,  m_{k+1} = b*m_k - grad f(x_{k+1}),
+  started from m_0 = -grad f(x_0).
+* ``HBM``: x_{k+1} = x_k - a*grad f(x_k) + b*(x_k - x_{k-1}), started
+  from x_{-1} := x_0.
+* ``NAG_TWO_SEQUENCE``: y_{k+1} = x_k - a*grad f(x_k),
+  x_{k+1} = y_{k+1} + b*(y_{k+1} - y_k), started from y_0 := x_0.
+* ``NAG_COMPACT``: x_{k+1} = x_k - a*grad f(x_k) + b*(x_k - x_{k-1} -
+  a*(grad f(x_k) - grad f(x_{k-1}))), with grad f(x_{-1}) replaced by 0 in
+  the very first step so that it reproduces the two-sequence iterates.
+
+:func:`dense_run` applies them; :func:`momlab.methods.run` must agree with
+it. Kept free of any shared algebra with :mod:`momlab.spectral` and with
+the eigenbasis kernel, so a formula bug cannot hide in its own check.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .methods import MethodKind, MethodParams, run
-from .problems import QuadraticProblem, _as_vector
+from .problems import QuadraticProblem, _as_points, _as_vector, gradient
 
 __all__ = [
     "power_by_multiplication",
@@ -22,7 +37,101 @@ __all__ = [
     "system_matrix",
     "full_system_step_equivalence",
     "EquivalenceResult",
+    "IterState",
+    "init_state",
+    "step",
+    "DenseTrajectory",
+    "dense_run",
 ]
+
+
+@dataclass(frozen=True)
+class IterState:
+    """One step of iteration state; extra fields are kind-specific."""
+
+    x_prev: np.ndarray
+    x_curr: np.ndarray
+    k: int
+    m_curr: np.ndarray | None = None  # MM running direction
+    y_curr: np.ndarray | None = None  # NAG auxiliary sequence
+    g_prev: np.ndarray | None = None  # NAG compact form: previous gradient
+
+
+def init_state(problem: QuadraticProblem, params: MethodParams, x0) -> IterState:
+    """State at k = 0 for a start ``x0`` of shape (n,) or a (batch, n) stack."""
+    x0 = _as_points(x0, problem.dimension, "x0")
+    if params.kind is MethodKind.MM:
+        return IterState(x_prev=x0, x_curr=x0, k=0, m_curr=-gradient(problem, x0))
+    if params.kind is MethodKind.NAG_TWO_SEQUENCE:
+        return IterState(x_prev=x0, x_curr=x0, k=0, y_curr=x0)
+    if params.kind is MethodKind.NAG_COMPACT:
+        return IterState(x_prev=x0, x_curr=x0, k=0, g_prev=np.zeros_like(x0))
+    return IterState(x_prev=x0, x_curr=x0, k=0)
+
+
+def step(problem: QuadraticProblem, params: MethodParams, state: IterState) -> IterState:
+    """Apply one update of the selected recursion."""
+    alpha, beta, kind = params.alpha, params.beta, params.kind
+    x = state.x_curr
+    if x.shape[-1] != problem.dimension:
+        raise DimensionMismatchError(
+            f"state dimension {x.shape[-1]} != problem dimension {problem.dimension}"
+        )
+
+    if kind is MethodKind.MM:
+        if state.m_curr is None:
+            raise ValueError("state carries no running direction; use init_state")
+        x_next = x + alpha * state.m_curr
+        m_next = beta * state.m_curr - gradient(problem, x_next)
+        return IterState(x_prev=x, x_curr=x_next, k=state.k + 1, m_curr=m_next)
+
+    if kind is MethodKind.HBM:
+        x_next = x - alpha * gradient(problem, x) + beta * (x - state.x_prev)
+        return IterState(x_prev=x, x_curr=x_next, k=state.k + 1)
+
+    if kind is MethodKind.NAG_TWO_SEQUENCE:
+        if state.y_curr is None:
+            raise ValueError("state carries no auxiliary sequence; use init_state")
+        y_next = x - alpha * gradient(problem, x)
+        x_next = y_next + beta * (y_next - state.y_curr)
+        return IterState(x_prev=x, x_curr=x_next, k=state.k + 1, y_curr=y_next)
+
+    if state.g_prev is None:
+        raise ValueError("state carries no previous gradient; use init_state")
+    # g_prev is 0 at k = 0 by the initialization convention
+    g = gradient(problem, x)
+    x_next = x - alpha * g + beta * (x - state.x_prev - alpha * (g - state.g_prev))
+    return IterState(x_prev=x, x_curr=x_next, k=state.k + 1, g_prev=g)
+
+
+class DenseTrajectory(NamedTuple):
+    """What :class:`momlab.methods.Trajectory` reports, computed in x-space."""
+
+    iterates: np.ndarray  # shape (K+1, n) or (K+1, batch, n)
+    distances: np.ndarray  # shape (K+1,) or (K+1, batch)
+    averaged_final: np.ndarray  # (x_{K-1} + x_K) / 2
+    averaged_distances: np.ndarray  # shaped like distances
+
+
+def dense_run(problem: QuadraticProblem, params: MethodParams, x0, num_steps: int) -> DenseTrajectory:
+    """Apply :func:`step` num_steps times and measure every iterate against x*."""
+    if num_steps < 1:
+        raise ValueError(f"num_steps must be >= 1, got {num_steps}")
+    state = init_state(problem, params, x0)
+    iterates = np.empty((num_steps + 1, *state.x_curr.shape))
+    iterates[0] = state.x_curr
+    for k in range(1, num_steps + 1):
+        state = step(problem, params, state)
+        iterates[k] = state.x_curr
+    distances = np.linalg.norm(iterates - problem.x_star, axis=-1)
+    averages = 0.5 * (iterates[:-1] + iterates[1:])
+    averaged = np.linalg.norm(averages - problem.x_star, axis=-1)
+    return DenseTrajectory(
+        iterates=iterates,
+        distances=distances,
+        averaged_final=averages[-1],
+        averaged_distances=np.concatenate([distances[:1], averaged]),
+    )
 
 
 def power_by_multiplication(m, k: int) -> np.ndarray:

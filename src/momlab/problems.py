@@ -1,12 +1,16 @@
 """Strictly convex quadratic objectives with exact gradients and minimizers.
 
 A problem is f(x) = 1/2 x'Hx - b'x with H symmetric positive definite, so
-grad f(x) = Hx - b and the unique minimizer solves Hx* = b. All problems are
-built from an explicit positive spectrum -- either as a diagonal matrix or
-conjugated by a seeded random rotation -- which guarantees definiteness by
-construction. Rotations come from sign-fixed Householder QR. Arbitrary
-matrices are accepted only through ``QuadraticProblem.from_matrix``, which
-runs a Cholesky rejection test. Minimizers come from a LAPACK solve.
+grad f(x) = Hx - b and the unique minimizer solves Hx* = b. Every problem
+carries its eigendecomposition H = Q' diag(eigenvalues) Q, in which
+:func:`momlab.methods.run` iterates. The builders start from an explicit
+positive spectrum -- either as a diagonal matrix or conjugated by a seeded
+random rotation from sign-fixed Householder QR -- and hand in that spectrum,
+the rotation and x* = shift exactly, so they need no factorization or
+solve. Arbitrary matrices are accepted through
+``QuadraticProblem.from_matrix``, which runs a Cholesky rejection test; it
+and direct construction take the eigendecomposition from LAPACK ``eigh``
+and the minimizer from a LAPACK solve.
 
 Everything is dense, row-major float64, and immutable after construction.
 """
@@ -109,18 +113,39 @@ class EigenBounds:
         return cls(float(eig[0]), float(eig[-1]))
 
 
+def _require_finite(h: np.ndarray, b: np.ndarray) -> None:
+    if not (np.isfinite(h).all() and np.isfinite(b).all()):
+        raise InvalidSpectrumError("hessian and linear_term must be finite")
+
+
+def _require_nonsingular(eigenvalues: np.ndarray) -> None:
+    magnitudes = np.abs(eigenvalues)
+    lo, tol = magnitudes.min(), SINGULARITY_RTOL * magnitudes.max()
+    if lo < tol:
+        raise SingularMatrixError(
+            f"smallest eigenvalue magnitude {lo:.3e} below tolerance {tol:.3e}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticProblem:
-    """f(x) = 1/2 x'Hx - b'x with H symmetric positive definite.
+    """f(x) = 1/2 x'Hx - b'x with H symmetric, stored with its
+    eigendecomposition H = Q' diag(eigenvalues) Q and its minimizer x*.
 
-    Both arrays must be finite, and H must pass the eigenvalue singularity
-    test, which a rotation of the problem does not change. The minimizer is
-    solved once at construction (LAPACK) and stored read-only in ``x_star``.
+    ``rotation`` is Q, or None when H is the diagonal matrix of
+    ``eigenvalues`` (Q = I). Both input arrays must be finite, and the
+    eigenvalues must pass the singularity test, which a rotation of the
+    problem does not change. Direct construction takes the eigenvalues and
+    Q from one LAPACK ``eigh`` and solves Hx* = b; ``make_diagonal_problem``
+    and ``make_rotated_problem`` hand in the exact ones and x* = shift. All
+    arrays are read-only.
     """
 
     hessian: np.ndarray
     linear_term: np.ndarray
     x_star: np.ndarray = field(init=False, repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    rotation: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.array(self.hessian, dtype=float)
@@ -129,21 +154,24 @@ class QuadraticProblem:
         b = _as_vector(self.linear_term, h.shape[0], "linear_term")
         with np.errstate(over="ignore", invalid="ignore"):
             h = 0.5 * (h + h.T)  # store exactly symmetric
-        if not (np.isfinite(h).all() and np.isfinite(b).all()):
-            raise InvalidSpectrumError("hessian and linear_term must be finite")
-        eig = np.abs(np.linalg.eigvalsh(h))
-        lo, tol = eig.min(), SINGULARITY_RTOL * eig.max()
-        if lo < tol:
-            raise SingularMatrixError(
-                f"smallest eigenvalue magnitude {lo:.3e} below tolerance {tol:.3e}"
-            )
+        _require_finite(h, b)
+        eigenvalues, vectors = np.linalg.eigh(h)
+        _require_nonsingular(eigenvalues)
         try:
             x_star = np.linalg.solve(h, b)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"hessian is singular: {exc}") from exc
-        object.__setattr__(self, "hessian", _frozen(h))
-        object.__setattr__(self, "linear_term", _frozen(b))
-        object.__setattr__(self, "x_star", _frozen(x_star))
+        self._freeze(h, b, x_star, eigenvalues, vectors.T)
+
+    def _freeze(self, h, b, x_star, eigenvalues, rotation) -> None:
+        for name, value in (
+            ("hessian", h),
+            ("linear_term", b),
+            ("x_star", x_star),
+            ("eigenvalues", eigenvalues),
+            ("rotation", rotation),
+        ):
+            object.__setattr__(self, name, value if value is None else _frozen(value))
 
     @property
     def dimension(self) -> int:
@@ -165,11 +193,31 @@ class QuadraticProblem:
         return cls(h, linear_term)
 
 
+def _from_eigendecomposition(
+    spectrum: DiagonalSpectrum, rotation: np.ndarray | None, shift: np.ndarray
+) -> QuadraticProblem:
+    """H = Q' diag(spectrum) Q (H diagonal when ``rotation`` is None) and
+    b = H @ shift, stored with the exact spectrum, Q and x* = shift."""
+    eigenvalues = spectrum.eigenvalues
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rotation is None:
+            h = np.diag(eigenvalues)
+        else:
+            h = (rotation.T * eigenvalues) @ rotation  # Q' @ diag(eigenvalues) @ Q
+            h = 0.5 * (h + h.T)
+        b = h @ shift  # an overflow here is rejected as non-finite
+    _require_finite(h, b)
+    _require_nonsingular(eigenvalues)
+    problem = object.__new__(QuadraticProblem)
+    problem._freeze(h, b, shift.copy(), eigenvalues, rotation)
+    return problem
+
+
 def make_diagonal_problem(spectrum) -> QuadraticProblem:
     """Diagonal problem H = diag(spectrum), b = 0; the minimizer is the origin."""
     if not isinstance(spectrum, DiagonalSpectrum):
         spectrum = DiagonalSpectrum(spectrum)
-    return QuadraticProblem(np.diag(spectrum.eigenvalues), np.zeros(spectrum.n))
+    return _from_eigendecomposition(spectrum, None, np.zeros(spectrum.n))
 
 
 def random_orthogonal(n: int, seed: int) -> np.ndarray:
@@ -192,12 +240,7 @@ def make_rotated_problem(spectrum, seed: int, shift) -> QuadraticProblem:
     if not isinstance(spectrum, DiagonalSpectrum):
         spectrum = DiagonalSpectrum(spectrum)
     shift = _as_vector(shift, spectrum.n, "shift")
-    q = random_orthogonal(spectrum.n, seed)
-    h = (q.T * spectrum.eigenvalues) @ q  # q.T @ diag(eigenvalues) @ q
-    h = 0.5 * (h + h.T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = h @ shift  # an overflow here is rejected as non-finite
-    return QuadraticProblem(h, b)
+    return _from_eigendecomposition(spectrum, random_orthogonal(spectrum.n, seed), shift)
 
 
 def gradient(problem: QuadraticProblem, x) -> np.ndarray:
@@ -222,3 +265,19 @@ def gershgorin_upper(problem: QuadraticProblem) -> float:
     diag = np.diag(h)
     radii = np.abs(h).sum(axis=1) - np.abs(diag)
     return float((diag + radii).max())
+
+
+def _to_eigenbasis(problem: QuadraticProblem, x: np.ndarray) -> np.ndarray:
+    """Error coordinates z = Q(x - x*) of x of shape (..., n), one
+    matrix-vector product per row, so each row is bitwise its own result."""
+    e = x - problem.x_star
+    if problem.rotation is None:
+        return e
+    return np.matmul(problem.rotation, e[..., None])[..., 0]
+
+
+def _from_eigenbasis(problem: QuadraticProblem, z: np.ndarray) -> np.ndarray:
+    """Points x = x* + Q'z of error coordinates z of shape (..., n), row by row."""
+    if problem.rotation is not None:
+        z = np.matmul(problem.rotation.T, z[..., None])[..., 0]
+    return problem.x_star + z

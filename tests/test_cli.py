@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -128,6 +130,30 @@ def test_run_rotated_spectrum_law(tmp_path):
     assert rows[-1, 2] <= 0.01
 
 
+@pytest.mark.parametrize("source", ["theorem1", "theorem2"])
+def test_rotated_run_meets_eps_below_the_dense_rounding_floor(tmp_path, source):
+    # At c = 1e6, eps = 1e-13 and |x*| = 8.6, forming Hx - b near x* leaves a
+    # rounding floor hundreds of times above eps; the eigenbasis iteration
+    # measures the error itself and meets eps (K = 43,314 and 61,255 steps).
+    n = 10
+    cfg = {
+        "n": n,
+        "cond": 1e6,
+        "spectrum_law": "log-uniform",
+        "params": {"source": source},
+        "x0": "random-unit",
+        "eps": 1e-13,
+        "rotate": True,
+        "shift": [8.6 / np.sqrt(n)] * n,
+        "out": str(tmp_path / "run.csv"),
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+    _, rows = _read_csv(tmp_path / "run.csv")
+    assert rows.shape[0] == (43315 if source == "theorem1" else 61256)
+    assert rows[-1, 2] <= 1e-13 * rows[0, 1]
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     j=st.integers(-30, 30),
@@ -204,6 +230,94 @@ def test_run_config_validation_errors(tmp_path, patch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("momlab: error: ") and err.count("\n") == 1
     assert not (tmp_path / "run.csv").exists()
+
+
+# Values of the wrong type or out of range for any field. None as a value
+# writes JSON null; the magnitudes stay small where a field sets a size.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 20),
+    st.floats(-20.0, 20.0),
+    st.sampled_from([0.0, -1.0, 1e308, -1e308, float("nan"), float("inf"), float("-inf")]),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-1, 3), st.text(max_size=1)), max_size=3),
+    st.just({"k": 1}),
+)
+_TOP_FIELDS = (
+    "spectrum", "n", "cond", "spectrum_law", "method", "x0", "num_steps", "eps",
+    "out", "seed", "rotate", "shift", "params",
+)
+_PARAM_FIELDS = ("source", "alpha", "beta")
+
+
+@st.composite
+def _fuzzed_run_configs(draw):
+    """A small valid run config with up to three fields replaced or removed."""
+    cfg = {}
+    if draw(st.booleans()):
+        cfg["spectrum"] = draw(st.lists(st.floats(0.5, 1e3), min_size=1, max_size=20))
+        dim = len(cfg["spectrum"])
+    else:
+        dim = draw(st.integers(2, 20))
+        law = draw(st.sampled_from(["two-point", "log-uniform"]))
+        cfg.update(n=dim, cond=draw(st.floats(1.0, 1e3)), spectrum_law=law)
+    source = draw(st.sampled_from(["explicit", "theorem1", "theorem2"]))
+    cfg["params"] = {"source": source}
+    if source == "explicit":
+        cfg["params"].update(alpha=draw(st.floats(1e-4, 0.1)), beta=draw(st.floats(0.0, 0.99)))
+        cfg["method"] = draw(st.sampled_from(["mm", "hbm", "nag", "nag-compact"]))
+    else:
+        cfg["method"] = draw(st.sampled_from(
+            ["mm", "hbm"] if source == "theorem1" else ["nag", "nag-compact"]
+        ))
+    if source != "explicit" and draw(st.booleans()):
+        cfg["eps"] = draw(st.floats(1e-4, 0.05))
+    else:
+        cfg["num_steps"] = draw(st.integers(1, 50))
+    entries = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([1e308, -1e308, 5e-324]))
+    vector = st.lists(entries, min_size=dim, max_size=dim)
+    cfg["x0"] = draw(st.one_of(st.just("random-unit"), vector))
+    cfg["rotate"] = draw(st.booleans())
+    if cfg["rotate"] and draw(st.booleans()):
+        cfg["shift"] = draw(vector)
+    cfg["seed"] = draw(st.integers(-(2**70), 2**70))
+
+    names = draw(st.lists(st.sampled_from(_TOP_FIELDS + _PARAM_FIELDS), max_size=3, unique=True))
+    for name in names:
+        target = cfg.get("params") if name in _PARAM_FIELDS else cfg
+        if not isinstance(target, dict):
+            continue
+        if draw(st.booleans()):
+            target.pop(name, None)
+            continue
+        # a string "out" would be a path outside the scratch directory
+        junk = _JUNK.filter(lambda v: not isinstance(v, str)) if name == "out" else _JUNK
+        target[name] = draw(junk)
+    return cfg
+
+
+@settings(deadline=None, max_examples=100)
+@given(cfg=_fuzzed_run_configs())
+def test_run_config_fuzz_exits_0_or_3_without_a_traceback(tmp_path_factory, cfg):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    out = tmp / "run.csv"
+    if cfg.get("out", "") == "":
+        cfg["out"] = str(out)
+    (tmp / "cfg.json").write_text(json.dumps(cfg))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["run", "--config", str(tmp / "cfg.json")])
+    err = stderr.getvalue()
+    assert code in (0, 3), err
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.startswith("momlab: error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+    else:
+        _, rows = _read_csv(out)
+        assert rows.shape[0] >= 2
+        assert np.isfinite(rows).all()
 
 
 @pytest.mark.parametrize(

@@ -9,12 +9,11 @@ from momlab.errors import DimensionMismatchError, PreconditionError
 from momlab.methods import (
     MethodKind,
     MethodParams,
-    init_state,
     run,
-    step,
     theorem1_params,
     theorem2_params,
 )
+from momlab.oracle import dense_run
 from momlab.problems import EigenBounds, gradient, make_diagonal_problem, make_rotated_problem
 
 
@@ -39,29 +38,19 @@ def test_params_validation():
         MethodParams(0.1, -0.1, MethodKind.HBM)
 
 
-def test_step_rejects_state_from_other_kind():
-    p = make_diagonal_problem([1, 100])
-    hbm_state = init_state(p, FIG1_PARAMS, [1.0, 1.0])
-    with pytest.raises(ValueError, match="init_state"):
-        step(p, MethodParams(0.019, 0.85, MethodKind.MM), hbm_state)
-    from momlab.errors import DimensionMismatchError
-
-    bad_dim = init_state(make_diagonal_problem([1, 2, 3]), FIG1_PARAMS, [1.0, 1.0, 1.0])
-    with pytest.raises(DimensionMismatchError):
-        step(p, FIG1_PARAMS, bad_dim)
+def _pair_problems(lam, seed=3):
+    """The diagonal problem {1, lam} and a rotated, shifted copy of it."""
+    shift = np.random.default_rng(seed).standard_normal(2)
+    return [make_diagonal_problem([1.0, lam]), make_rotated_problem([1.0, lam], seed, shift)]
 
 
-def test_hbm_beta_zero_step_is_steepest_descent():
-    p = make_diagonal_problem([1, 100])
-    params = MethodParams(0.007, 0.0, MethodKind.HBM)
-    s = step(p, params, init_state(p, params, [1.0, 1.0]))
-    expected = np.array([1.0, 1.0]) - 0.007 * np.array([1.0, 100.0])
-    assert np.array_equal(s.x_curr, expected)
+# The equivalence tests hold the oracle's state machine of one form against
+# `run`, which iterates the other form of the pair in the eigenbasis.
 
 
 def test_mm_equals_hbm_short():
     p = make_diagonal_problem([1, 100])
-    mm = run(p, MethodParams(0.019, 0.85, MethodKind.MM), [1.0, 1.0], 20)
+    mm = dense_run(p, MethodParams(0.019, 0.85, MethodKind.MM), [1.0, 1.0], 20)
     hb = run(p, MethodParams(0.019, 0.85, MethodKind.HBM), [1.0, 1.0], 20)
     assert np.abs(mm.iterates - hb.iterates).max() <= 1e-12
 
@@ -71,25 +60,27 @@ def test_nag_forms_agree_short():
     # so the agreement is scaled per step
     p = make_diagonal_problem([1, 100])
     two = run(p, MethodParams(0.019, 0.85, MethodKind.NAG_TWO_SEQUENCE), [1.0, 1.0], 20)
-    compact = run(p, MethodParams(0.019, 0.85, MethodKind.NAG_COMPACT), [1.0, 1.0], 20)
+    compact = dense_run(p, MethodParams(0.019, 0.85, MethodKind.NAG_COMPACT), [1.0, 1.0], 20)
     diffs = np.abs(two.iterates - compact.iterates).max(axis=1)
     scales = np.maximum(1.0, np.abs(two.iterates).max(axis=1))
     assert (diffs <= 1e-12 * scales).all()
 
 
 def test_mm_equals_hbm_200_steps():
-    p = make_diagonal_problem([1, 100])
-    mm = run(p, MethodParams(0.019, 0.85, MethodKind.MM), [1.0, 1.0], 200)
-    hb = run(p, MethodParams(0.019, 0.85, MethodKind.HBM), [1.0, 1.0], 200)
-    assert _trajectories_agree(mm, hb, 1e-10)
+    for p in _pair_problems(100.0):
+        x0 = p.x_star + 1.0
+        mm = dense_run(p, MethodParams(0.019, 0.85, MethodKind.MM), x0, 200)
+        hb = run(p, MethodParams(0.019, 0.85, MethodKind.HBM), x0, 200)
+        assert _trajectories_agree(mm, hb, 1e-10)
 
 
 def test_nag_forms_agree_200_steps():
-    p = make_diagonal_problem([1, 100])
     beta = theorem2_params(EigenBounds(1.0, 100.0)).beta
-    two = run(p, MethodParams(0.01, beta, MethodKind.NAG_TWO_SEQUENCE), [1.0, 1.0], 200)
-    compact = run(p, MethodParams(0.01, beta, MethodKind.NAG_COMPACT), [1.0, 1.0], 200)
-    assert _trajectories_agree(two, compact, 1e-10)
+    for p in _pair_problems(100.0):
+        x0 = p.x_star + 1.0
+        two = run(p, MethodParams(0.01, beta, MethodKind.NAG_TWO_SEQUENCE), x0, 200)
+        compact = dense_run(p, MethodParams(0.01, beta, MethodKind.NAG_COMPACT), x0, 200)
+        assert _trajectories_agree(two, compact, 1e-10)
 
 
 @settings(deadline=None, max_examples=25)
@@ -101,11 +92,12 @@ def test_nag_forms_agree_200_steps():
     x0b=st.floats(-5.0, 5.0),
 )
 def test_mm_hbm_equivalence_property(lam, beta, step_factor, x0a, x0b):
-    p = make_diagonal_problem([1.0, lam])
     alpha = step_factor / lam
-    mm = run(p, MethodParams(alpha, beta, MethodKind.MM), [x0a, x0b], 60)
-    hb = run(p, MethodParams(alpha, beta, MethodKind.HBM), [x0a, x0b], 60)
-    assert _trajectories_agree(mm, hb, 1e-10)
+    for p in _pair_problems(lam):
+        x0 = p.x_star + [x0a, x0b]
+        mm = dense_run(p, MethodParams(alpha, beta, MethodKind.MM), x0, 60)
+        hb = run(p, MethodParams(alpha, beta, MethodKind.HBM), x0, 60)
+        assert _trajectories_agree(mm, hb, 1e-10)
 
 
 @settings(deadline=None, max_examples=25)
@@ -117,11 +109,12 @@ def test_mm_hbm_equivalence_property(lam, beta, step_factor, x0a, x0b):
     x0b=st.floats(-5.0, 5.0),
 )
 def test_nag_equivalence_property(lam, beta, step_factor, x0a, x0b):
-    p = make_diagonal_problem([1.0, lam])
     alpha = step_factor / lam
-    two = run(p, MethodParams(alpha, beta, MethodKind.NAG_TWO_SEQUENCE), [x0a, x0b], 60)
-    compact = run(p, MethodParams(alpha, beta, MethodKind.NAG_COMPACT), [x0a, x0b], 60)
-    assert _trajectories_agree(two, compact, 1e-10)
+    for p in _pair_problems(lam):
+        x0 = p.x_star + [x0a, x0b]
+        two = run(p, MethodParams(alpha, beta, MethodKind.NAG_TWO_SEQUENCE), x0, 60)
+        compact = dense_run(p, MethodParams(alpha, beta, MethodKind.NAG_COMPACT), x0, 60)
+        assert _trajectories_agree(two, compact, 1e-10)
 
 
 def test_run_figure_setup_is_non_monotone():
@@ -205,6 +198,31 @@ def test_batched_run_equals_per_row_runs_bitwise(problem, kind):
         assert np.array_equal(batch.distances[:, j], single.distances)
         assert np.array_equal(batch.averaged_final[j], single.averaged_final)
         assert np.array_equal(batch_avg[:, j], single.averaged_distances())
+
+
+@pytest.mark.parametrize("batch", [None, 7], ids=["single", "batch"])
+@pytest.mark.parametrize("n", [2, 60])
+@pytest.mark.parametrize("family", ["hbm", "nag"])
+def test_run_matches_dense_state_machines_bitwise_on_diagonal_problems(family, n, batch):
+    # pins the bytes of diagonal runs: there the eigenbasis kernel is the
+    # dense HBM / two-sequence NAG recursion evaluated in the same order, so
+    # reordering the kernel's expression fails here before it moves a CSV
+    eig = np.geomspace(1.0, 1e3, n)
+    problem = make_diagonal_problem(eig)
+    rule = theorem1_params if family == "hbm" else theorem2_params
+    params = rule(EigenBounds(1.0, 1e3))
+    shape = (n,) if batch is None else (batch, n)
+    x0 = np.random.default_rng(n).standard_normal(shape)
+    got = run(problem, params, x0, 300)
+    want = dense_run(problem, params, x0, 300)
+    assert np.array_equal(got.iterates, want.iterates)
+    assert np.array_equal(got.distances, want.distances)
+    assert np.array_equal(got.averaged_final, want.averaged_final)
+    assert np.array_equal(got.averaged_distances(), want.averaged_distances)
+    # MM runs as HBM and the compact form as the two-sequence form, bit for bit
+    other = MethodKind.MM if family == "hbm" else MethodKind.NAG_COMPACT
+    twin = run(problem, MethodParams(params.alpha, params.beta, other), x0, 300)
+    assert np.array_equal(twin.errors, got.errors)
 
 
 @pytest.mark.parametrize("problem", _batch_problems(), ids=["diagonal-2", "rotated-50"])

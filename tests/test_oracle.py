@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from momlab.errors import DimensionMismatchError
 from momlab.methods import MethodKind, MethodParams
 from momlab.oracle import (
     eig_2x2,
     full_system_step_equivalence,
+    init_state,
     power_by_multiplication,
+    step,
     system_matrix,
 )
 from momlab.problems import make_diagonal_problem, make_rotated_problem
@@ -117,3 +120,25 @@ def test_spectral_norm_agrees_with_power_iteration():
         g_81 = power_by_multiplication(gram, 81)
         lam = np.trace(g_81) / np.trace(g_80)
         assert spectral_norm_2x2(m) == pytest.approx(np.sqrt(lam), rel=1e-8)
+
+
+FIG1_PARAMS = MethodParams(1.9 / 100.0, 0.85, MethodKind.HBM)
+
+
+def test_step_rejects_state_from_other_kind():
+    p = make_diagonal_problem([1, 100])
+    hbm_state = init_state(p, FIG1_PARAMS, [1.0, 1.0])
+    with pytest.raises(ValueError, match="init_state"):
+        step(p, MethodParams(0.019, 0.85, MethodKind.MM), hbm_state)
+
+    bad_dim = init_state(make_diagonal_problem([1, 2, 3]), FIG1_PARAMS, [1.0, 1.0, 1.0])
+    with pytest.raises(DimensionMismatchError):
+        step(p, FIG1_PARAMS, bad_dim)
+
+
+def test_hbm_beta_zero_step_is_steepest_descent():
+    p = make_diagonal_problem([1, 100])
+    params = MethodParams(0.007, 0.0, MethodKind.HBM)
+    s = step(p, params, init_state(p, params, [1.0, 1.0]))
+    expected = np.array([1.0, 1.0]) - 0.007 * np.array([1.0, 100.0])
+    assert np.array_equal(s.x_curr, expected)

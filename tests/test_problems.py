@@ -73,7 +73,8 @@ def test_rotated_gradient_vanishes_at_shift():
 def test_rotated_minimizer_matches_shift():
     shift = np.array([2.0, -1.0, 0.5, 7.0])
     p = make_rotated_problem([1, 3, 30, 100], seed=9, shift=shift)
-    assert np.linalg.norm(minimizer(p) - shift) <= 1e-10 * np.linalg.norm(shift)
+    # the builder hands in x* = shift; nothing is solved
+    assert np.array_equal(minimizer(p), shift)
 
 
 def test_gradient_examples():
@@ -214,3 +215,32 @@ def test_problem_arrays_are_read_only():
         p.hessian[0, 0] = 7.0
     with pytest.raises(ValueError):
         p.x_star[0] = 1.0
+    with pytest.raises(ValueError):
+        p.eigenvalues[0] = 7.0
+    shift = np.array([1.0, 2.0])
+    rotated = make_rotated_problem([1, 100], seed=1, shift=shift)
+    for name in ("hessian", "linear_term", "x_star", "eigenvalues", "rotation"):
+        with pytest.raises(ValueError):
+            getattr(rotated, name)[0] = 7.0
+    direct = QuadraticProblem(np.array([[2.0, 1.0], [1.0, 3.0]]), np.ones(2))
+    for name in ("hessian", "linear_term", "x_star", "eigenvalues", "rotation"):
+        with pytest.raises(ValueError):
+            getattr(direct, name)[0] = 7.0
+    # the caller's shift stays writable: the problem keeps its own copy
+    shift[0] = 5.0
+    assert rotated.x_star[0] == 1.0
+
+
+def test_problems_carry_their_eigendecomposition():
+    # H = Q' diag(eigenvalues) Q for the builders' exact factors and for eigh's
+    spectrum = [1.0, 3.0, 30.0, 100.0]
+    diagonal = make_diagonal_problem(spectrum)
+    assert diagonal.rotation is None
+    assert np.array_equal(diagonal.eigenvalues, spectrum)
+    rotated = make_rotated_problem(spectrum, seed=9, shift=np.zeros(4))
+    assert np.array_equal(rotated.rotation, random_orthogonal(4, 9))
+    direct = QuadraticProblem.from_matrix(rotated.hessian, rotated.linear_term)
+    for p in (rotated, direct):
+        q = p.rotation
+        assert np.abs(q.T @ np.diag(p.eigenvalues) @ q - p.hessian).max() <= 1e-12 * 100.0
+    assert np.allclose(direct.eigenvalues, spectrum, rtol=1e-12)
