@@ -56,6 +56,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 2
 EXIT_CONFIG = 3
 
+# Largest (num_steps + 1) * n a run may store: run keeps every iterate, so
+# this caps its memory at a few arrays of 8 * MAX_RUN_VALUES bytes.
+MAX_RUN_VALUES = 20_000_000
+
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4-left", "fig4-right", "fig5-analogue")
 VERIFY_IDS = ("thm1", "thm2", "norm-bound", "schur")
 
@@ -162,6 +166,9 @@ def _load_run_config(path: str) -> RunConfig:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{path}: field 'params' must be an object")
+    unknown = sorted(set(params) - set(_PARAMS_FIELDS))
+    if unknown:
+        raise ConfigError(f"{path}: unknown fields in 'params': {', '.join(unknown)}")
     cfg.source = params.get("source", "explicit")
     cfg.alpha = params.get("alpha")
     cfg.beta = params.get("beta")
@@ -202,6 +209,8 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("need exactly one of fields 'num_steps' and 'eps'")
     if cfg.eps is not None and cfg.source == "explicit":
         raise ConfigError("field 'eps' termination needs a theorem parameter source")
+    if cfg.n is not None and not _is_int(cfg.n):
+        raise ConfigError(f"field 'n' must be an integer, got {cfg.n!r}")
     if cfg.num_steps is not None and (not _is_int(cfg.num_steps) or cfg.num_steps < 1):
         raise ConfigError(f"field 'num_steps' must be an integer >= 1, got {cfg.num_steps!r}")
     if not _is_int(cfg.seed):
@@ -221,7 +230,7 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
 def _spectrum_from_config(cfg: RunConfig) -> DiagonalSpectrum:
     if cfg.spectrum is not None:
         return DiagonalSpectrum(_convert("spectrum", cfg.spectrum, _floats))
-    n, cond = _convert("n", cfg.n, int), _convert("cond", cfg.cond, float)
+    n, cond = cfg.n, _convert("cond", cfg.cond, float)
     if n < 2:
         raise ConfigError(f"field 'n' must be >= 2 for a spectrum law, got {n}")
     if cond < 1.0:
@@ -261,14 +270,6 @@ def _cmd_run(args) -> int:
     cfg = _validate_run_config(cfg)
 
     spectrum = _spectrum_from_config(cfg)
-    if cfg.rotate:
-        shift = np.zeros(spectrum.n) if cfg.shift is None else _convert("shift", cfg.shift, _floats)
-        problem = make_rotated_problem(spectrum, stream_seed(cfg.seed, ROTATION_STREAM), shift)
-    else:
-        if cfg.shift is not None:
-            raise ConfigError("field 'shift' needs 'rotate': true")
-        problem = make_diagonal_problem(spectrum)
-
     bounds = EigenBounds.from_spectrum(spectrum)
     if cfg.source == "theorem1":
         params = theorem1_params(bounds)
@@ -295,6 +296,19 @@ def _cmd_run(args) -> int:
     else:
         budget_of = theorem1_budget if cfg.source == "theorem1" else theorem2_budget
         num_steps = budget_of(bounds.cond_bar, _convert("eps", cfg.eps, float)).budget
+    if (num_steps + 1) * spectrum.n > MAX_RUN_VALUES:
+        raise ConfigError(
+            f"run of K={num_steps} steps at n={spectrum.n} would store"
+            f" {(num_steps + 1) * spectrum.n} values, above MAX_RUN_VALUES={MAX_RUN_VALUES}"
+        )
+
+    if cfg.rotate:
+        shift = np.zeros(spectrum.n) if cfg.shift is None else _convert("shift", cfg.shift, _floats)
+        problem = make_rotated_problem(spectrum, stream_seed(cfg.seed, ROTATION_STREAM), shift)
+    else:
+        if cfg.shift is not None:
+            raise ConfigError("field 'shift' needs 'rotate': true")
+        problem = make_diagonal_problem(spectrum)
 
     if isinstance(cfg.x0, str):
         rng = np.random.default_rng(stream_seed(cfg.seed, X0_STREAM))

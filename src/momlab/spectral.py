@@ -285,27 +285,30 @@ def power_norm_bound(spec: BlockSpectrum, k: int) -> float:
     return 2.0 * spec.rho ** (k - 1) * (k + 1)
 
 
-def spectral_norm_2x2(m) -> float:
+def spectral_norm_2x2(m):
     """Exact largest singular value via the 2x2 Gram-matrix eigenvalues.
 
-    The matrix is pre-scaled by its largest entry so the squared Gram
-    entries cannot underflow for tiny inputs.
+    ``m`` is one 2x2 matrix (the result is a float) or a stack (..., 2, 2)
+    (the result is an array of shape ...). Each matrix is pre-scaled by its
+    largest entry so the squared Gram entries cannot underflow for tiny
+    inputs; a zero or non-finite matrix returns that largest entry.
     """
     a = np.asarray(m, dtype=complex)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
-    scale = float(np.abs(a).max())
-    if scale == 0.0 or not math.isfinite(scale):
-        return scale
+    if a.ndim < 2 or a.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix or a stack of them, got shape {a.shape}")
+    scale = np.abs(a).max(axis=(-2, -1))
+    regular = (scale > 0.0) & np.isfinite(scale)
+    safe = np.where(regular, scale, 1.0)
+    a = np.where(regular[..., None, None], a, 0.0)
     # scale real/imag parts separately: complex division squares the
     # denominator internally and would underflow for denormal scales
-    a = (a.real / scale) + 1j * (a.imag / scale)
-    g = a.conj().T @ a
-    g00, g11 = g[0, 0].real, g[1, 1].real
-    half_diff = 0.5 * (g00 - g11)
-    rad = math.hypot(half_diff, abs(g[0, 1]))
+    a = (a.real / safe[..., None, None]) + 1j * (a.imag / safe[..., None, None])
+    g = np.einsum("...ij,...ik->...jk", a.conj(), a)  # A^H A
+    g00, g11 = g[..., 0, 0].real, g[..., 1, 1].real
+    rad = np.hypot(0.5 * (g00 - g11), np.abs(g[..., 0, 1]))
     lam_max = 0.5 * (g00 + g11) + rad
-    return scale * math.sqrt(max(lam_max, 0.0))
+    norm = np.where(regular, safe * np.sqrt(np.maximum(lam_max, 0.0)), scale)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def gershgorin_norm_bound(m) -> float:

@@ -2,17 +2,17 @@
 
 These back the ``verify`` CLI subcommand and the acceptance tests. A sweep
 returns a report object with per-cell lines (sorted by cell key, so output
-is deterministic regardless of execution order) and an overall pass flag.
-The theorem checks iterate all seeds of a (cond, eps) cell as one batch.
-The norm-bound and Schur sweeps fan their grid points out over a thread
-pool whose size ``MOMLAB_THREADS`` caps.
+is deterministic) and an overall pass flag. The theorem checks iterate all
+seeds of a (cond, eps) cell as one batch. The norm-bound and Schur sweeps
+stack the 2x2 matrices of all grid points into one (points, 2, 2) array,
+power it in one scale-tracked loop and compare every (point, k) against its
+bound as one array expression; only violations are formatted.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,12 +37,17 @@ __all__ = [
     "verify_norm_bound",
     "verify_schur",
     "log_power_norms",
-    "thread_cap",
 ]
 
 
 def thread_cap() -> int:
-    """Sweep parallelism: min(cpu count, 8), capped by MOMLAB_THREADS."""
+    """min(cpu count, 8), capped by MOMLAB_THREADS.
+
+    No sweep uses it any more: the sweeps run as one batched numpy pass. It
+    stays only because the benchmark's tracer reads it for its
+    ``verify.threads``/``verify.pool_gain`` metrics; the benchmark change
+    that retires those metrics removes it too.
+    """
     cap = min(os.cpu_count() or 1, 8)
     env = os.environ.get("MOMLAB_THREADS")
     if env is not None:
@@ -51,14 +56,6 @@ def thread_cap() -> int:
         except ValueError:
             cap = 1
     return cap
-
-
-def _map_cells(fn, cells):
-    workers = min(thread_cap(), max(1, len(cells)))
-    if workers <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))  # preserves input order
 
 
 @dataclass(frozen=True)
@@ -156,133 +153,140 @@ def verify_theorem(
 def log_power_norms(mat, kmax: int) -> np.ndarray:
     """log ||mat^k||_2 for k = 1..kmax by scale-tracked repeated multiplication.
 
-    The running power is renormalized by its largest entry each step (with
-    the accumulated log scale carried along), so powers of strongly
-    contracting matrices never underflow. A power that becomes exactly zero
-    (nilpotent blocks) yields -inf from that k on.
+    ``mat`` is one 2x2 matrix or a stack (..., 2, 2); the result has shape
+    (kmax,) or (..., kmax). Each running power is renormalized by its largest
+    entry every step, with its own accumulated log scale carried along, so
+    powers of strongly contracting matrices never underflow. A power that
+    becomes exactly zero (nilpotent blocks) yields -inf from that k on.
     """
     mat = np.asarray(mat)
-    logs = np.full(kmax, -math.inf)
-    u = np.eye(2, dtype=np.result_type(mat.dtype, float))
-    log_scale = 0.0
-    for k in range(1, kmax + 1):
-        u = u @ mat
-        peak = float(np.abs(u).max())
-        if peak == 0.0:
-            break
-        u = u / peak
-        log_scale += math.log(peak)
-        logs[k - 1] = log_scale + math.log(spectral_norm_2x2(u))
+    u = np.broadcast_to(np.eye(2, dtype=np.result_type(mat.dtype, float)), mat.shape)
+    logs = np.empty((*mat.shape[:-2], kmax))
+    log_scale = np.zeros(mat.shape[:-2])
+    for k in range(kmax):
+        # einsum: a stacked @ makes one BLAS call per 2x2 matrix
+        u = np.einsum("...ij,...jk->...ik", u, mat)
+        peak = np.abs(u).max(axis=(-2, -1))
+        peak = np.where(peak > 0.0, peak, 1.0)  # a zero power stays zero
+        u = u / peak[..., None, None]
+        log_scale = log_scale + np.log(peak)
+        with np.errstate(divide="ignore"):  # log 0 = -inf for a zero power
+            logs[..., k] = log_scale + np.log(spectral_norm_2x2(u))
     return logs
 
 
-def _log_upper_bound(rho: float, k: int) -> float:
-    """log of the transient bound 2 rho^{k-1} (k+1), safe for rho = 0."""
-    if rho == 0.0:
-        return math.log(2.0 * (k + 1)) if k == 1 else -math.inf
-    return math.log(2.0) + (k - 1) * math.log(rho) + math.log(k + 1.0)
+def _log_power_law(rho: np.ndarray, kmax: int, power: int, count: int) -> np.ndarray:
+    """log of 2 rho^{k+power} (k+count) for k = 1..kmax, one row per rho.
 
-
-def _log_tightness_lower(rho: float, k: int) -> float:
-    """log of the double-root floor 2 rho^{k+1} (k-1) for k >= 2."""
-    if rho == 0.0:
-        return -math.inf
-    return math.log(2.0) + (k + 1) * math.log(rho) + math.log(k - 1.0)
-
-
-def _sweep(label: str, grid, kmax: int, check_point, summary) -> SweepReport:
-    """Run ``check_point`` on every grid cell and assemble the report.
-
-    ``check_point`` returns (violation lines, *stats) per cell; ``summary``
-    turns the per-cell results into the text between the violation count and
-    the status of the last line. Violation lines are sorted.
+    rho^0 is 1 also at rho = 0, and a zero factor gives -inf.
     """
-    if grid is None:
-        grid = parameter_grid(alpha_step=0.1)
-    results = _map_cells(check_point, list(grid))
-    violations = sorted(row for rows, *_ in results for row in rows)
+    ks = np.arange(1, kmax + 1, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho_term = np.where(ks + power == 0.0, 0.0, (ks + power) * np.log(rho)[:, None])
+        return math.log(2.0) + rho_term + np.log(ks + count)
+
+
+def _log_upper_bound(rho: np.ndarray, kmax: int) -> np.ndarray:
+    """log of the transient bound 2 rho^{k-1} (k+1), shape (len(rho), kmax)."""
+    return _log_power_law(rho, kmax, -1, 1)
+
+
+def _log_tightness_lower(rho: np.ndarray, kmax: int) -> np.ndarray:
+    """log of the double-root floor 2 rho^{k+1} (k-1); -inf at k = 1."""
+    return _log_power_law(rho, kmax, 1, -1)
+
+
+def _grid_spectra(grid):
+    """The sweep grid (``parameter_grid(0.1)`` by default) and its spectra."""
+    grid = parameter_grid(alpha_step=0.1) if grid is None else list(grid)
+    return grid, [analyze_hbm(alpha_i, beta) for alpha_i, beta in grid]
+
+
+def _stack(matrices) -> np.ndarray:
+    """The (points, 2, 2) stack of per-point matrices, also for no points."""
+    return np.array(matrices).reshape(-1, 2, 2)
+
+
+def _point(grid, index) -> str:
+    alpha_i, beta = grid[index]
+    return f"alpha_i={alpha_i:.6g} beta={beta:.6g}"
+
+
+def _sweep(label: str, grid, kmax: int, violations: list[str], summary: str) -> SweepReport:
+    """The report: sorted violation lines, then one summary line."""
     status = "PASS" if not violations else "FAIL"
     last = (
         f"{label}: grid={len(grid)} kmax={kmax} violations={len(violations)}"
-        f" {summary(results)} {status}"
+        f" {summary} {status}"
     )
-    return SweepReport(label=label, passed=not violations, lines=[*violations, last])
+    return SweepReport(label=label, passed=not violations, lines=[*sorted(violations), last])
 
 
 def verify_norm_bound(grid=None, kmax: int = 200) -> SweepReport:
     """Exact ||block^k|| <= 2 rho^{k-1} (k+1) over the grid, plus the
     double-root tightness ||block^k|| >= 2 rho^{k+1} (k-1) for k >= 2.
 
-    Comparisons run in log space so deeply contracted powers stay exact.
+    All grid points' blocks are powered as one stack, and each bound is one
+    (points, kmax) comparison in log space, so deeply contracted powers stay
+    exact.
     """
+    grid, specs = _grid_spectra(grid)
+    rho = np.array([spec.rho for spec in specs])
+    double_root = np.array([spec.regime == DOUBLE_ROOT for spec in specs], dtype=bool)
+    log_norms = log_power_norms(_stack([spec.block() for spec in specs]), kmax)
+    log_bound = _log_upper_bound(rho, kmax)
+    violations = [
+        f"norm-bound FAIL {_point(grid, i)} k={k + 1}"
+        f" log_norm={log_norms[i, k]:.6e} log_bound={log_bound[i, k]:.6e}"
+        for i, k in zip(*np.nonzero(log_norms > log_bound))
+    ]
+    loose = double_root[:, None] & (log_norms < _log_tightness_lower(rho, kmax))
+    violations += [
+        f"tightness FAIL {_point(grid, i)} k={k + 1} log_norm={log_norms[i, k]:.6e}"
+        for i, k in zip(*np.nonzero(loose))
+    ]
+    with np.errstate(invalid="ignore"):  # -inf - -inf past a zero power
+        log_margin = np.where(log_norms > -math.inf, log_norms - log_bound, -math.inf)
+    worst = math.exp(log_margin.max(initial=-math.inf))
+    return _sweep("norm-bound", grid, kmax, violations, f"max_norm_to_bound={worst:.6f}")
 
-    def check_point(point):
-        alpha_i, beta = point
-        spec = analyze_hbm(alpha_i, beta)
-        log_norms = log_power_norms(spec.block(), kmax)
-        rows = []
-        log_margin = -math.inf
-        for k in range(1, kmax + 1):
-            log_bound = _log_upper_bound(spec.rho, k)
-            log_norm = log_norms[k - 1]
-            if log_norm > log_bound:
-                rows.append(
-                    f"norm-bound FAIL alpha_i={alpha_i:.6g} beta={beta:.6g} k={k}"
-                    f" log_norm={log_norm:.6e} log_bound={log_bound:.6e}"
-                )
-            if log_norm > -math.inf:
-                log_margin = max(log_margin, log_norm - log_bound)
-            if spec.regime == DOUBLE_ROOT and k >= 2:
-                if log_norm < _log_tightness_lower(spec.rho, k):
-                    rows.append(
-                        f"tightness FAIL alpha_i={alpha_i:.6g} beta={beta:.6g} k={k}"
-                        f" log_norm={log_norm:.6e}"
-                    )
-        return rows, log_margin
 
-    def summary(results):
-        worst_margin = max([-math.inf, *(log_margin for _, log_margin in results)])
-        return f"max_norm_to_bound={math.exp(worst_margin):.6f}"
-
-    return _sweep("norm-bound", grid, kmax, check_point, summary)
+# Schur suite tolerances: reconstruction residual and cond(T) = ||T|| ||T^{-1}||.
+_RECONSTRUCTION_TOL = 1e-12
+_COND_T_MAX = 3.0
 
 
 def verify_schur(grid=None, kmax: int = 200) -> SweepReport:
     """Schur suite: reconstruction to 1e-12, cond(T) <= 3, and
-    ||R^k|| <= rho^{k-1} (k+1) with exact norms."""
-
-    def check_point(point):
-        alpha_i, beta = point
-        spec = analyze_hbm(alpha_i, beta)
-        factors = schur_factors(spec)
-        rows = []
-        recon = float(np.abs(factors.reconstruct() - spec.block()).max())
-        if recon > 1e-12:
-            rows.append(
-                f"schur-reconstruction FAIL alpha_i={alpha_i:.6g} beta={beta:.6g}"
-                f" residual={recon:.3e}"
-            )
-        cond_t = spectral_norm_2x2(factors.T) * spectral_norm_2x2(factors.t_inverse())
-        if cond_t > 3.0:
-            rows.append(
-                f"schur-cond FAIL alpha_i={alpha_i:.6g} beta={beta:.6g} cond_T={cond_t:.6f}"
-            )
-        log_norms = log_power_norms(factors.R, kmax)
-        for k in range(1, kmax + 1):
-            # log of rho^{k-1} (k+1); the factor-2 version minus log 2
-            log_bound = _log_upper_bound(spec.rho, k) - math.log(2.0)
-            if log_norms[k - 1] > log_bound:
-                rows.append(
-                    f"schur-rpower FAIL alpha_i={alpha_i:.6g} beta={beta:.6g} k={k}"
-                )
-        return rows, recon, cond_t
-
-    def summary(results):
-        worst_recon = max([0.0, *(recon for _, recon, _ in results)])
-        worst_cond = max([0.0, *(cond_t for _, _, cond_t in results)])
-        return f"max_reconstruction={worst_recon:.3e} max_cond_T={worst_cond:.6f}"
-
-    return _sweep("schur", grid, kmax, check_point, summary)
+    ||R^k|| <= rho^{k-1} (k+1) with exact norms, over the grid as one stack."""
+    grid, specs = _grid_spectra(grid)
+    factors = [schur_factors(spec) for spec in specs]
+    recon = np.array(
+        [np.abs(f.reconstruct() - spec.block()).max() for f, spec in zip(factors, specs)]
+    )
+    cond_t = spectral_norm_2x2(_stack([f.T for f in factors])) * spectral_norm_2x2(
+        _stack([f.t_inverse() for f in factors])
+    )
+    violations = [
+        f"schur-reconstruction FAIL {_point(grid, i)} residual={recon[i]:.3e}"
+        for i in np.nonzero(recon > _RECONSTRUCTION_TOL)[0]
+    ]
+    violations += [
+        f"schur-cond FAIL {_point(grid, i)} cond_T={cond_t[i]:.6f}"
+        for i in np.nonzero(cond_t > _COND_T_MAX)[0]
+    ]
+    log_norms = log_power_norms(_stack([f.R for f in factors]), kmax)
+    # log of rho^{k-1} (k+1); the factor-2 version minus log 2
+    log_bound = _log_upper_bound(np.array([spec.rho for spec in specs]), kmax) - math.log(2.0)
+    violations += [
+        f"schur-rpower FAIL {_point(grid, i)} k={k + 1}"
+        for i, k in zip(*np.nonzero(log_norms > log_bound))
+    ]
+    summary = (
+        f"max_reconstruction={recon.max(initial=0.0):.3e}"
+        f" max_cond_T={cond_t.max(initial=0.0):.6f}"
+    )
+    return _sweep("schur", grid, kmax, violations, summary)
 
 
 def clamped_eigvec_condition(alpha_i: float, beta: float, clamp: float = 20.0) -> float:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momlab.cli import main
-from momlab.verify import verify_theorem
+from momlab.verify import verify_norm_bound, verify_theorem
 
 
 def _read_csv(path):
@@ -218,6 +218,9 @@ JSON_NULL = object()  # a patch value written as JSON null; None deletes the key
             "spectrum": None, "n": 3, "cond": 100, "spectrum_law": "log-uniform",
             "rotate": True, "shift": [1e308, 1e308, 1e308], "x0": "random-unit",
         },
+        {"spectrum": None, "n": 5.7, "cond": 100, "spectrum_law": "two-point"},
+        {"spectrum": None, "n": "7", "cond": 100, "spectrum_law": "two-point"},
+        {"params": {"source": "explicit", "alpha": 0.01, "beta": 0.5, "gamma": 3}},
     ],
 )
 def test_run_config_validation_errors(tmp_path, patch, capsys):
@@ -350,6 +353,38 @@ def test_run_accepts_a_converging_heavy_ball_step_past_two(tmp_path, recwarn):
     _, rows = _read_csv(tmp_path / "run.csv")
     assert rows[-1, 1] < rows[0, 1]
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize(
+    "patch, argv, steps, n",
+    [
+        (  # the budget for eps = 1e-300 at cond 1e11
+            {"spectrum": None, "n": 100, "cond": 1e11, "spectrum_law": "log-uniform",
+             "params": {"source": "theorem2"}, "method": "nag", "num_steps": None,
+             "eps": 1e-300, "x0": "random-unit"},
+            [], 437323190, 100,
+        ),
+        ({}, ["--steps", "10000000"], 10000000, 2),
+    ],
+)
+def test_run_refuses_a_run_too_large_to_store(tmp_path, capsys, monkeypatch, patch, argv, steps, n):
+    import momlab.cli
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the refusal must come before any problem or run is built")
+
+    for name in ("run", "make_diagonal_problem", "make_rotated_problem"):
+        monkeypatch.setattr(momlab.cli, name, no_allocation)
+    cfg_path = tmp_path / "cfg.json"
+    cfg = _write_config(cfg_path)
+    cfg.update(patch)
+    cfg_path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    assert (steps + 1) * n > momlab.cli.MAX_RUN_VALUES
+    assert main(["run", "--config", str(cfg_path), *argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("momlab: error: ") and err.count("\n") == 1
+    assert f"K={steps} " in err and f"n={n} " in err
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_run_bad_json_reports_line(tmp_path, capsys):
@@ -501,10 +536,13 @@ def test_verify_norm_bound_and_schur(capsys):
 
 
 def test_verify_report_is_sorted_and_thread_invariant(monkeypatch):
+    monkeypatch.setenv("MOMLAB_THREADS", "1")
     serial = verify_theorem(1, [100.0, 28.0], [0.01, 0.001], 4, master_seed=9)
+    serial_sweep = verify_norm_bound(kmax=20)
     monkeypatch.setenv("MOMLAB_THREADS", "4")
     threaded = verify_theorem(1, [100.0, 28.0], [0.01, 0.001], 4, master_seed=9)
     assert serial.lines == threaded.lines
+    assert serial_sweep.lines == verify_norm_bound(kmax=20).lines
     conds = [float(line.split("cond=")[1].split()[0]) for line in serial.lines[:-1]]
     assert conds == sorted(conds)
 

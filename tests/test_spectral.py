@@ -404,6 +404,31 @@ def test_spectral_norm_matches_numpy_on_random_complex():
         assert spectral_norm_2x2(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
 
 
+def test_spectral_norm_takes_a_stack():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+    stack[0, 0] = 0.0
+    stack[0, 1] = 1e-310  # denormal entries: the pre-scaling keeps them exact
+    stack[1, 0, 0, 1] = np.inf
+    stack[1, 1, 1, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = spectral_norm_2x2(stack)
+    assert norms.shape == (3, 4)
+    for index in np.ndindex(3, 4):
+        single = spectral_norm_2x2(stack[index])
+        assert isinstance(single, float)
+        assert norms[index] == pytest.approx(single, rel=1e-15, nan_ok=True)
+    assert norms[0, 0] == 0.0 and norms[1, 0] == np.inf and np.isnan(norms[1, 1])
+    assert norms[0, 1] == pytest.approx(2e-310, rel=1e-12)
+    finite = np.isfinite(norms) & (norms > 1e-300)
+    assert np.allclose(norms[finite], batched_sigma_max(stack)[finite], rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError):
+        spectral_norm_2x2(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        spectral_norm_2x2(np.ones(2))
+
+
 def test_gershgorin_norm_bound_triangular():
     m = np.array([[0.9, 1.0], [0.0, 0.8]])
     bound = gershgorin_norm_bound(m)
