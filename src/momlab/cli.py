@@ -56,8 +56,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 2
 EXIT_CONFIG = 3
 
-# Largest (num_steps + 1) * n a run may store: run keeps every iterate, so
-# this caps its memory at a few arrays of 8 * MAX_RUN_VALUES bytes.
+# Largest array a run may store: (num_steps + 1) * n iterates, and the n * n
+# rotation of a rotated problem. This caps its memory at a few arrays of
+# 8 * MAX_RUN_VALUES bytes.
 MAX_RUN_VALUES = 20_000_000
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4-left", "fig4-right", "fig5-analogue")
@@ -248,13 +249,13 @@ def _predicted_rho(params: MethodParams, bounds: EigenBounds) -> float:
     Block rho is largest at an end of the alpha_i interval for both
     families, so the two ends alpha*lower and alpha*upper decide it.
     """
-    ends = (params.alpha * bounds.lower, params.alpha * bounds.upper)
+    ends = params.alpha * np.array([bounds.lower, bounds.upper])
     if params.kind in (MethodKind.NAG_TWO_SEQUENCE, MethodKind.NAG_COMPACT):
-        return max(analyze_nag(a, params.beta).rho for a in ends)
+        return float(analyze_nag(ends, params.beta).rho.max())
     with warnings.catch_warnings():
         # the heavy-ball block is defined past alpha_i = 2; its rho decides
         warnings.simplefilter("ignore")
-        return max(analyze_hbm(a, params.beta, strict=False).rho for a in ends)
+        return float(analyze_hbm(ends, params.beta, strict=False).rho.max())
 
 
 def _cmd_run(args) -> int:
@@ -296,10 +297,11 @@ def _cmd_run(args) -> int:
     else:
         budget_of = theorem1_budget if cfg.source == "theorem1" else theorem2_budget
         num_steps = budget_of(bounds.cond_bar, _convert("eps", cfg.eps, float)).budget
-    if (num_steps + 1) * spectrum.n > MAX_RUN_VALUES:
+    stored = max((num_steps + 1) * spectrum.n, spectrum.n * spectrum.n if cfg.rotate else 0)
+    if stored > MAX_RUN_VALUES:
         raise ConfigError(
-            f"run of K={num_steps} steps at n={spectrum.n} would store"
-            f" {(num_steps + 1) * spectrum.n} values, above MAX_RUN_VALUES={MAX_RUN_VALUES}"
+            f"{'rotated ' if cfg.rotate else ''}run of K={num_steps} steps at n={spectrum.n}"
+            f" would store {stored} values, above MAX_RUN_VALUES={MAX_RUN_VALUES}"
         )
 
     if cfg.rotate:
@@ -344,9 +346,9 @@ def _cmd_run(args) -> int:
 _FIGURE_CURVE_BETAS = (0.1, 0.5, 0.9)
 
 
-def _alpha_axis(limit: float, resolution: int, open_end: bool) -> list[float]:
+def _alpha_axis(limit: float, resolution: int, open_end: bool) -> np.ndarray:
     top = resolution - 1 if open_end else resolution
-    return [limit * j / resolution for j in range(1, top + 1)]
+    return limit * np.arange(1, top + 1) / resolution
 
 
 def _figure_rows(figure_id: str, resolution: int, steps: int):
@@ -358,37 +360,25 @@ def _figure_rows(figure_id: str, resolution: int, steps: int):
         header = ["k", "dist_x0_1", "dist_x0_2", "dist_x0_3"]
         rows = [(k, *(t.distances[k] for t in trajs)) for k in range(steps + 1)]
         return header, rows
-    if figure_id == "fig2":
-        rows = [
-            (a, b, analyze_hbm(a, b).rho)
-            for a in _alpha_axis(2.0, resolution, open_end=False)
-            for b in _GRID_BETAS
-        ]
-        return ["alpha_i", "beta", "rho"], rows
     if figure_id == "fig3":
-        rows = [
-            (a, *(analyze_hbm(a, b).rho for b in _FIGURE_CURVE_BETAS))
-            for a in _alpha_axis(0.1, resolution, open_end=True)
-        ]
-        return ["alpha_i", "rho_beta_0.1", "rho_beta_0.5", "rho_beta_0.9"], rows
-    if figure_id == "fig4-left":
-        rows = [
-            (a, b, clamped_eigvec_condition(a, b))
-            for a in _alpha_axis(2.0, resolution, open_end=False)
-            for b in _GRID_BETAS
-        ]
-        return ["alpha_i", "beta", "cond_s_clamped"], rows
+        alphas = _alpha_axis(0.1, resolution, open_end=True)
+        rho = analyze_hbm(alphas[:, None], np.array(_FIGURE_CURVE_BETAS)).rho
+        header = ["alpha_i", "rho_beta_0.1", "rho_beta_0.5", "rho_beta_0.9"]
+        return header, np.column_stack([alphas, rho]).tolist()
+    # fig5-analogue: the accelerated-gradient block on its admissible step
+    # range a_i in (0, 1]; the other figures span the heavy-ball range (0, 2].
+    alphas = _alpha_axis(1.0 if figure_id == "fig5-analogue" else 2.0, resolution, open_end=False)
     if figure_id == "fig4-right":
-        rows = [(a, double_root_beta(a)) for a in _alpha_axis(2.0, resolution, open_end=False)]
-        return ["alpha_i", "beta"], rows
-    # fig5-analogue: spectral-radius surface of the accelerated-gradient
-    # block on its admissible step range a_i in (0, 1].
-    rows = [
-        (a, b, analyze_nag(a, b).rho)
-        for a in _alpha_axis(1.0, resolution, open_end=False)
-        for b in _GRID_BETAS
-    ]
-    return ["alpha_i", "beta", "rho"], rows
+        return ["alpha_i", "beta"], np.column_stack([alphas, double_root_beta(alphas)]).tolist()
+    a, b = np.meshgrid(alphas, _GRID_BETAS, indexing="ij")
+    if figure_id == "fig2":
+        name, values = "rho", analyze_hbm(a, b).rho
+    elif figure_id == "fig4-left":
+        name, values = "cond_s_clamped", clamped_eigvec_condition(a, b)
+    else:
+        name, values = "rho", analyze_nag(a, b).rho
+    rows = np.column_stack([a.ravel(), b.ravel(), values.ravel()])
+    return ["alpha_i", "beta", name], rows.tolist()
 
 
 def _cmd_figure(args) -> int:

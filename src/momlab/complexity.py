@@ -40,13 +40,13 @@ __all__ = [
 # The budgets and the fixed-parameter rules are only certified for cond_bar >= 28.
 MIN_COND_BAR = 28.0
 
-# Guard against floating noise right below an integer before taking ceil.
-_CEIL_GUARD = 1e-9
+# Guard against floating noise next to an integer before taking ceil or floor.
+_INTEGER_GUARD = 1e-9
 
 
 def _guarded_ceil(x: float) -> int:
     nearest = round(x)
-    if abs(x - nearest) <= _CEIL_GUARD:
+    if abs(x - nearest) <= _INTEGER_GUARD:
         return int(nearest)
     return int(math.ceil(x))
 

@@ -18,6 +18,10 @@ The module also provides the eigenvector-basis condition number (which blows
 up at the double root), the well-conditioned Schur triangularization
 T R T^{-1} with cond(T) <= 3, exact powers of R and of the block itself via
 explicit cross sums, and the transient norm bound ||block^k|| <= 2 rho^{k-1} (k+1).
+
+The analysis, blocks, Schur factors, conditioning and ``double_root_beta`` take
+one point (Python scalars out) or broadcastable arrays of points (arrays and
+(..., 2, 2) stacks out) through one body; ``r_power``/``block_power`` take one.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexity import _INTEGER_GUARD
 from .errors import DomainError, InternalConsistencyError
 
 __all__ = [
@@ -70,12 +75,13 @@ _GRID_BETAS = tuple(0.05 * l for l in range(20))
 
 @dataclass(frozen=True)
 class BlockSpectrum:
-    """Spectral data of one companion block [[0, 1], [-product, beta_i]].
+    """Spectral data of companion blocks [[0, 1], [-product, beta_i]], one or arrays.
 
     ``beta_i`` is the trace and ``product`` the determinant (= l_+ * l_-):
     beta for the heavy-ball block, beta*(1 - alpha_i) for the accelerated
     one. ``gamma`` follows the branch convention "non-negative real, or
-    positive imaginary part".
+    positive imaginary part". Array fields have the broadcast shape; alpha_i
+    and beta are kept as given.
     """
 
     alpha_i: float
@@ -89,24 +95,34 @@ class BlockSpectrum:
     regime: str
 
     def block(self) -> np.ndarray:
-        return np.array([[0.0, 1.0], [-self.product, self.beta_i]])
+        b = np.zeros((*np.shape(self.beta_i), 2, 2))
+        b[..., 0, 1], b[..., 1, 0], b[..., 1, 1] = 1.0, -np.asarray(self.product), self.beta_i
+        return b
 
 
-def _check_beta(beta: float):
-    if not (0.0 <= beta < 1.0):
-        raise DomainError(f"beta must lie in [0, 1), got {beta}")
+def _scalar(x):
+    """A 0-d numpy result as the Python float, complex or str it holds."""
+    return x.item() if np.ndim(x) == 0 else x
 
 
-def _check_alpha_hbm(alpha_i: float, strict: bool):
-    if not (0.0 < alpha_i <= ALPHA_I_MAX):
-        if strict:
-            raise DomainError(
-                f"alpha_i must lie in (0, {ALPHA_I_MAX:g}], got {alpha_i}"
-            )
-        warnings.warn(
-            f"alpha_i={alpha_i} outside (0, {ALPHA_I_MAX:g}]; continuing (strict=False)",
-            stacklevel=3,
-        )
+def _complex(re, im) -> np.ndarray:
+    """re + i*im from equal-shape parts: complex arithmetic could flip signed zeros."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _first_outside(value, inside):
+    """The first entry of ``value`` failing ``inside``, as a Python scalar, or None."""
+    value = np.asarray(value)
+    outside = value[~inside(value)]
+    return outside[0].item() if outside.size else None
+
+
+def _check(value, inside, what: str):
+    bad = _first_outside(value, inside)
+    if bad is not None:
+        raise DomainError(f"{what}, got {bad}")
 
 
 def hbm_block(alpha_i: float, beta: float, *, strict: bool = True) -> np.ndarray:
@@ -123,54 +139,53 @@ def nag_block(alpha_i: float, beta: float) -> np.ndarray:
     return analyze_nag(alpha_i, beta).block()
 
 
-def _classify(trace: float, product: float):
-    """Eigen data of [[0,1],[-product, trace]] from the discriminant sign."""
+def _classify(trace: np.ndarray, product: np.ndarray):
+    """gamma, l_+, l_-, rho, regime of [[0,1],[-product, trace]] by discriminant sign."""
     disc = trace * trace - 4.0 * product
-    if abs(disc) <= DOUBLE_ROOT_TOL:
-        lam = complex(0.5 * trace)
-        return 0j, lam, lam, abs(0.5 * trace), DOUBLE_ROOT
-    if disc > 0.0:
-        g = math.sqrt(disc)
-        lp, lm = 0.5 * (trace + g), 0.5 * (trace - g)
-        return complex(g), complex(lp), complex(lm), 0.5 * (abs(trace) + g), REAL_PAIR
-    g = math.sqrt(-disc)
-    lp = complex(0.5 * trace, 0.5 * g)
-    return complex(0.0, g), lp, lp.conjugate(), math.sqrt(product), COMPLEX_PAIR
+    double = np.abs(disc) <= DOUBLE_ROOT_TOL
+    real = ~double & (disc > 0.0)
+    pair = ~(double | real)
+    g = np.sqrt(np.abs(disc))
+    half_trace = 0.5 * trace
+    lp = _complex(np.where(real, 0.5 * (trace + g), half_trace), np.where(pair, 0.5 * g, 0.0))
+    lm = _complex(np.where(real, 0.5 * (trace - g), half_trace), np.where(pair, -(0.5 * g), 0.0))
+    # product > 0 wherever the complex-pair root is taken
+    rho_pair = np.sqrt(np.maximum(product, 0.0))
+    rho = np.where(double, np.abs(half_trace), np.where(real, 0.5 * (np.abs(trace) + g), rho_pair))
+    regime = np.where(double, DOUBLE_ROOT, np.where(real, REAL_PAIR, COMPLEX_PAIR))
+    return _complex(np.where(real, g, 0.0), np.where(pair, g, 0.0)), lp, lm, rho, regime
 
 
-def _companion(alpha_i: float, beta: float, trace: float, product: float) -> BlockSpectrum:
-    """Spectrum of the block [[0, 1], [-product, trace]] at (alpha_i, beta)."""
-    gamma, lp, lm, rho, regime = _classify(trace, product)
-    return BlockSpectrum(
-        alpha_i=alpha_i,
-        beta=beta,
-        beta_i=trace,
-        product=product,
-        gamma=gamma,
-        lambda_plus=lp,
-        lambda_minus=lm,
-        rho=rho,
-        regime=regime,
-    )
+def _companion(alpha_i, beta, trace, product) -> BlockSpectrum:
+    """Spectrum of the blocks [[0, 1], [-product, trace]] at (alpha_i, beta)."""
+    trace, product = np.broadcast_arrays(np.asarray(trace, float), np.asarray(product, float))
+    eigen = (_scalar(x) for x in _classify(trace, product))
+    return BlockSpectrum(alpha_i, beta, _scalar(trace), _scalar(product), *eigen)
 
 
-def analyze_hbm(alpha_i: float, beta: float, *, strict: bool = True) -> BlockSpectrum:
-    """Spectral analysis of the heavy-ball block at (alpha_i, beta)."""
-    _check_beta(beta)
-    _check_alpha_hbm(alpha_i, strict)
+def analyze_hbm(alpha_i, beta, *, strict: bool = True) -> BlockSpectrum:
+    """Spectral analysis of the heavy-ball block at floats or ndarrays (alpha_i, beta)."""
+    _check(beta, lambda b: (0.0 <= b) & (b < 1.0), "beta must lie in [0, 1)")
+    bad = _first_outside(alpha_i, lambda a: (0.0 < a) & (a <= ALPHA_I_MAX))
+    if bad is not None and strict:
+        raise DomainError(f"alpha_i must lie in (0, {ALPHA_I_MAX:g}], got {bad}")
+    if bad is not None:
+        warnings.warn(
+            f"alpha_i={bad} outside (0, {ALPHA_I_MAX:g}]; continuing (strict=False)",
+            stacklevel=2,
+        )
     return _companion(alpha_i, beta, 1.0 + beta - alpha_i, beta)
 
 
-def analyze_nag(alpha_i: float, beta: float) -> BlockSpectrum:
-    """Spectral analysis of the accelerated-gradient block at (alpha_i, beta)."""
-    _check_beta(beta)
-    if not alpha_i > 0.0:
-        raise DomainError(f"alpha_i must be positive, got {alpha_i}")
+def analyze_nag(alpha_i, beta) -> BlockSpectrum:
+    """Spectral analysis of the accelerated-gradient block at floats or ndarrays (alpha_i, beta)."""
+    _check(beta, lambda b: (0.0 <= b) & (b < 1.0), "beta must lie in [0, 1)")
+    _check(alpha_i, lambda a: a > 0.0, "alpha_i must be positive")
     one_minus = 1.0 - alpha_i
     return _companion(alpha_i, beta, (1.0 + beta) * one_minus, beta * one_minus)
 
 
-def eigvec_condition(spec: BlockSpectrum) -> float:
+def eigvec_condition(spec: BlockSpectrum):
     """2-norm condition of the eigenvector basis S = [[1, 1], [l_+, l_-]].
 
     Computed from the closed-form eigenvalues mu_pm of S^H S:
@@ -179,22 +194,23 @@ def eigvec_condition(spec: BlockSpectrum) -> float:
     * imaginary gamma: mu_pm = 1 + c +- |1 + l_+^2|
 
     with t the trace and c the determinant of the block. Returns +inf at the
-    double root, where the eigenvector basis degenerates.
+    double root, where the eigenvector basis degenerates. Squares are libm ``pow``
+    and |1 + l_+^2| is formed from real parts, as in CPython's float/complex ops.
     """
-    if spec.regime == DOUBLE_ROOT:
-        return math.inf
-    t, c = spec.beta_i, spec.product
-    if spec.regime == REAL_PAIR:
-        g2 = spec.gamma.real ** 2
-        mid = 1.0 + 0.25 * (t * t + g2)
-        half_span = 0.5 * math.sqrt(t * t * g2 + 4.0 * (1.0 + c) ** 2)
-    else:
-        mid = 1.0 + c
-        half_span = abs(1.0 + spec.lambda_plus ** 2)
+    t, c = np.asarray(spec.beta_i, dtype=float), np.asarray(spec.product, dtype=float)
+    g2 = np.float_power(np.real(spec.gamma), 2)
+    x, y = np.real(spec.lambda_plus), np.imag(spec.lambda_plus)
+    real = np.asarray(spec.regime) == REAL_PAIR
+    mid = np.where(real, 1.0 + 0.25 * (t * t + g2), 1.0 + c)
+    half_span = np.where(
+        real,
+        0.5 * np.sqrt(t * t * g2 + 4.0 * np.float_power(1.0 + c, 2)),
+        np.hypot(1.0 + (x * x - y * y), x * y + y * x),
+    )
     mu_minus = mid - half_span
-    if mu_minus <= 0.0:
-        return math.inf
-    return math.sqrt((mid + half_span) / mu_minus)
+    degenerate = (np.asarray(spec.regime) == DOUBLE_ROOT) | (mu_minus <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _scalar(np.where(degenerate, np.inf, np.sqrt((mid + half_span) / mu_minus)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,16 +225,19 @@ class SchurFactors:
     R: np.ndarray
 
     def t_inverse(self) -> np.ndarray:
-        return np.array([[1.0, 0.0], [-self.T[1, 0], 1.0]], dtype=complex)
+        return np.where(np.tri(2, k=-1, dtype=bool), -self.T, self.T)
 
     def reconstruct(self) -> np.ndarray:
+        # a stacked @ equals the per-matrix product bitwise; an einsum does not
         return self.T @ self.R @ self.t_inverse()
 
 
 def schur_factors(spec: BlockSpectrum) -> SchurFactors:
     lp, lm = spec.lambda_plus, spec.lambda_minus
-    t = np.array([[1.0, 0.0], [lp, 1.0]], dtype=complex)
-    r = np.array([[lp, 1.0], [0.0, lm]], dtype=complex)
+    t = np.zeros((*np.shape(lp), 2, 2), dtype=complex)
+    r = t.copy()
+    t[..., 0, 0], t[..., 1, 0], t[..., 1, 1] = 1.0, lp, 1.0
+    r[..., 0, 0], r[..., 0, 1], r[..., 1, 1] = lp, 1.0, lm
     return SchurFactors(T=t, R=r)
 
 
@@ -308,7 +327,7 @@ def spectral_norm_2x2(m):
     rad = np.hypot(0.5 * (g00 - g11), np.abs(g[..., 0, 1]))
     lam_max = 0.5 * (g00 + g11) + rad
     norm = np.where(regular, safe * np.sqrt(np.maximum(lam_max, 0.0)), scale)
-    return float(norm) if norm.ndim == 0 else norm
+    return _scalar(norm)
 
 
 def gershgorin_norm_bound(m) -> float:
@@ -327,11 +346,10 @@ def gershgorin_norm_bound(m) -> float:
     return math.sqrt(big**2 + big * abs(b) + abs(b) ** 2)
 
 
-def double_root_beta(alpha_i: float) -> float:
+def double_root_beta(alpha_i):
     """The momentum (1 - sqrt(alpha_i))^2 placing the block at its double root."""
-    if alpha_i <= 0.0:
-        raise DomainError(f"alpha_i must be positive, got {alpha_i}")
-    return (1.0 - math.sqrt(alpha_i)) ** 2
+    _check(alpha_i, lambda a: ~(a <= 0.0), "alpha_i must be positive")  # NaN passes
+    return _scalar(np.float_power(1.0 - np.sqrt(alpha_i), 2))
 
 
 def snapped_double_root(alpha_i: float) -> tuple[float, float]:
@@ -341,8 +359,7 @@ def snapped_double_root(alpha_i: float) -> tuple[float, float]:
     trace are all exact dyadics and (1 + beta - alpha)^2 - 4*beta evaluates
     to 0.0 in float64 -- no residual for naive eigensolvers to amplify.
     """
-    if alpha_i <= 0.0:
-        raise DomainError(f"alpha_i must be positive, got {alpha_i}")
+    _check(alpha_i, lambda a: ~(a <= 0.0), "alpha_i must be positive")
     s = round(math.sqrt(alpha_i) * (1 << 20)) / (1 << 20)
     lam = 1.0 - s
     return s * s, lam * lam
@@ -356,12 +373,13 @@ def parameter_grid(
 ) -> list[tuple[float, float]]:
     """(alpha_i, beta) sweep covering all three eigenvalue regimes.
 
-    alpha_i runs over {alpha_step * j} up to alpha_max, beta over
+    alpha_i runs over {alpha_step * j} up to alpha_max (never past it), beta over
     {0, 0.05, ..., 0.95} by default; with ``include_double_root`` snapped
     points on the double-root curve beta = (1 - sqrt(alpha_i))^2 are
     appended.
     """
-    alphas = [alpha_step * j for j in range(1, int(round(alpha_max / alpha_step)) + 1)]
+    count = math.floor(alpha_max / alpha_step + _INTEGER_GUARD)
+    alphas = [alpha_step * j for j in range(1, count + 1)]
     if betas is None:
         betas = _GRID_BETAS
     grid = [(a, b) for a in alphas for b in betas]

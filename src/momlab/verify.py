@@ -4,9 +4,9 @@ These back the ``verify`` CLI subcommand and the acceptance tests. A sweep
 returns a report object with per-cell lines (sorted by cell key, so output
 is deterministic) and an overall pass flag. The theorem checks iterate all
 seeds of a (cond, eps) cell as one batch. The norm-bound and Schur sweeps
-stack the 2x2 matrices of all grid points into one (points, 2, 2) array,
-power it in one scale-tracked loop and compare every (point, k) against its
-bound as one array expression; only violations are formatted.
+analyse the whole grid in one array call, power its (points, 2, 2) block or
+Schur stack in one scale-tracked loop and compare every (point, k) against
+its bound as one array expression; only violations are formatted.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .problems import EigenBounds, make_diagonal_problem
 from .seeding import X0_STREAM, stream_seed
 from .spectral import (
     DOUBLE_ROOT,
+    _scalar,
     analyze_hbm,
     eigvec_condition,
     parameter_grid,
@@ -197,14 +198,10 @@ def _log_tightness_lower(rho: np.ndarray, kmax: int) -> np.ndarray:
 
 
 def _grid_spectra(grid):
-    """The sweep grid (``parameter_grid(0.1)`` by default) and its spectra."""
+    """The sweep grid (``parameter_grid(0.1)`` by default) and its spectra as arrays."""
     grid = parameter_grid(alpha_step=0.1) if grid is None else list(grid)
-    return grid, [analyze_hbm(alpha_i, beta) for alpha_i, beta in grid]
-
-
-def _stack(matrices) -> np.ndarray:
-    """The (points, 2, 2) stack of per-point matrices, also for no points."""
-    return np.array(matrices).reshape(-1, 2, 2)
+    alphas, betas = np.array(grid, dtype=float).reshape(-1, 2).T
+    return grid, analyze_hbm(alphas, betas)
 
 
 def _point(grid, index) -> str:
@@ -230,17 +227,16 @@ def verify_norm_bound(grid=None, kmax: int = 200) -> SweepReport:
     (points, kmax) comparison in log space, so deeply contracted powers stay
     exact.
     """
-    grid, specs = _grid_spectra(grid)
-    rho = np.array([spec.rho for spec in specs])
-    double_root = np.array([spec.regime == DOUBLE_ROOT for spec in specs], dtype=bool)
-    log_norms = log_power_norms(_stack([spec.block() for spec in specs]), kmax)
-    log_bound = _log_upper_bound(rho, kmax)
+    grid, spec = _grid_spectra(grid)
+    log_norms = log_power_norms(spec.block(), kmax)
+    log_bound = _log_upper_bound(spec.rho, kmax)
     violations = [
         f"norm-bound FAIL {_point(grid, i)} k={k + 1}"
         f" log_norm={log_norms[i, k]:.6e} log_bound={log_bound[i, k]:.6e}"
         for i, k in zip(*np.nonzero(log_norms > log_bound))
     ]
-    loose = double_root[:, None] & (log_norms < _log_tightness_lower(rho, kmax))
+    double_root = (spec.regime == DOUBLE_ROOT)[:, None]
+    loose = double_root & (log_norms < _log_tightness_lower(spec.rho, kmax))
     violations += [
         f"tightness FAIL {_point(grid, i)} k={k + 1} log_norm={log_norms[i, k]:.6e}"
         for i, k in zip(*np.nonzero(loose))
@@ -259,14 +255,10 @@ _COND_T_MAX = 3.0
 def verify_schur(grid=None, kmax: int = 200) -> SweepReport:
     """Schur suite: reconstruction to 1e-12, cond(T) <= 3, and
     ||R^k|| <= rho^{k-1} (k+1) with exact norms, over the grid as one stack."""
-    grid, specs = _grid_spectra(grid)
-    factors = [schur_factors(spec) for spec in specs]
-    recon = np.array(
-        [np.abs(f.reconstruct() - spec.block()).max() for f, spec in zip(factors, specs)]
-    )
-    cond_t = spectral_norm_2x2(_stack([f.T for f in factors])) * spectral_norm_2x2(
-        _stack([f.t_inverse() for f in factors])
-    )
+    grid, spec = _grid_spectra(grid)
+    factors = schur_factors(spec)
+    recon = np.abs(factors.reconstruct() - spec.block()).max(axis=(-2, -1))
+    cond_t = spectral_norm_2x2(factors.T) * spectral_norm_2x2(factors.t_inverse())
     violations = [
         f"schur-reconstruction FAIL {_point(grid, i)} residual={recon[i]:.3e}"
         for i in np.nonzero(recon > _RECONSTRUCTION_TOL)[0]
@@ -275,9 +267,9 @@ def verify_schur(grid=None, kmax: int = 200) -> SweepReport:
         f"schur-cond FAIL {_point(grid, i)} cond_T={cond_t[i]:.6f}"
         for i in np.nonzero(cond_t > _COND_T_MAX)[0]
     ]
-    log_norms = log_power_norms(_stack([f.R for f in factors]), kmax)
+    log_norms = log_power_norms(factors.R, kmax)
     # log of rho^{k-1} (k+1); the factor-2 version minus log 2
-    log_bound = _log_upper_bound(np.array([spec.rho for spec in specs]), kmax) - math.log(2.0)
+    log_bound = _log_upper_bound(spec.rho, kmax) - math.log(2.0)
     violations += [
         f"schur-rpower FAIL {_point(grid, i)} k={k + 1}"
         for i, k in zip(*np.nonzero(log_norms > log_bound))
@@ -289,6 +281,6 @@ def verify_schur(grid=None, kmax: int = 200) -> SweepReport:
     return _sweep("schur", grid, kmax, violations, summary)
 
 
-def clamped_eigvec_condition(alpha_i: float, beta: float, clamp: float = 20.0) -> float:
-    """min(cond(S), clamp); the double root maps to the clamp value."""
-    return min(eigvec_condition(analyze_hbm(alpha_i, beta)), clamp)
+def clamped_eigvec_condition(alpha_i, beta, clamp: float = 20.0):
+    """min(cond(S), clamp) at a point or over arrays; the double root maps to clamp."""
+    return _scalar(np.minimum(eigvec_condition(analyze_hbm(alpha_i, beta)), clamp))

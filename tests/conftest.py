@@ -1,7 +1,10 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from momlab.spectral import parameter_grid
+from momlab.spectral import COMPLEX_PAIR, DOUBLE_ROOT, DOUBLE_ROOT_TOL, REAL_PAIR, parameter_grid
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +41,47 @@ def batched_sigma_max(mats: np.ndarray) -> np.ndarray:
     g01 = np.conj(m[..., 0, 0]) * m[..., 0, 1] + np.conj(m[..., 1, 0]) * m[..., 1, 1]
     rad = np.sqrt((0.5 * (g00 - g11)) ** 2 + np.abs(g01) ** 2)
     return np.sqrt(np.maximum(0.5 * (g00 + g11) + rad, 0.0))
+
+
+def reference_analysis(family: str, alpha_i: float, beta: float) -> SimpleNamespace:
+    """One block's spectral data by the scalar formulas, point by point, in
+    Python float and complex arithmetic: the reference for the library's
+    array path. Fields as in ``momlab.spectral.BlockSpectrum``."""
+    if family == "hbm":
+        trace, product = 1.0 + beta - alpha_i, beta
+    else:
+        one_minus = 1.0 - alpha_i
+        trace, product = (1.0 + beta) * one_minus, beta * one_minus
+    disc = trace * trace - 4.0 * product
+    if abs(disc) <= DOUBLE_ROOT_TOL:
+        lam = complex(0.5 * trace)
+        eigen = 0j, lam, lam, abs(0.5 * trace), DOUBLE_ROOT
+    elif disc > 0.0:
+        g = math.sqrt(disc)
+        lp, lm = 0.5 * (trace + g), 0.5 * (trace - g)
+        eigen = complex(g), complex(lp), complex(lm), 0.5 * (abs(trace) + g), REAL_PAIR
+    else:
+        g = math.sqrt(-disc)
+        lp = complex(0.5 * trace, 0.5 * g)
+        eigen = complex(0.0, g), lp, lp.conjugate(), math.sqrt(product), COMPLEX_PAIR
+    names = ("gamma", "lambda_plus", "lambda_minus", "rho", "regime")
+    return SimpleNamespace(beta_i=trace, product=product, **dict(zip(names, eigen)))
+
+
+def reference_eigvec_condition(spec) -> float:
+    """cond(S) of one block by the scalar closed form (``x ** 2`` and complex
+    ``abs`` as CPython evaluates them): the reference for the array path."""
+    if spec.regime == DOUBLE_ROOT:
+        return math.inf
+    t, c = spec.beta_i, spec.product
+    if spec.regime == REAL_PAIR:
+        g2 = spec.gamma.real ** 2
+        mid = 1.0 + 0.25 * (t * t + g2)
+        half_span = 0.5 * math.sqrt(t * t * g2 + 4.0 * (1.0 + c) ** 2)
+    else:
+        mid = 1.0 + c
+        half_span = abs(1.0 + spec.lambda_plus ** 2)
+    mu_minus = mid - half_span
+    if mu_minus <= 0.0:
+        return math.inf
+    return math.sqrt((mid + half_span) / mu_minus)

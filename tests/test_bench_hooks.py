@@ -64,6 +64,12 @@ def test_traced_cli_ops_record_every_span(tmp_path, capsys):
           "complexity.budget"}),
         (["verify", "norm-bound", "--steps", "3"],
          {"verify.sweep", "spectral.analyze", "verify.log_power_norms"}),
+        (["verify", "schur", "--steps", "3"],
+         {"verify.sweep", "spectral.schur", "spectral.norm2x2", "verify.log_power_norms"}),
+        (["figure", "--figure", "fig4-left", "--resolution", "5",
+          "--out", str(tmp_path / "fig4-left.csv")],
+         {"verify.clamped_eigvec_condition", "spectral.eigvec_condition", "spectral.analyze",
+          "cli.write_csv"}),
     ]
     tracer = SPANS.Tracer()
     tracer.install()

@@ -387,6 +387,41 @@ def test_run_refuses_a_run_too_large_to_store(tmp_path, capsys, monkeypatch, pat
     assert not (tmp_path / "run.csv").exists()
 
 
+def test_run_refuses_a_rotation_too_large_to_store(tmp_path, capsys, monkeypatch):
+    # (num_steps + 1) * n is small, but the n x n rotation is not
+    import momlab.cli
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the refusal must come before any problem or run is built")
+
+    for name in ("run", "make_diagonal_problem", "make_rotated_problem"):
+        monkeypatch.setattr(momlab.cli, name, no_allocation)
+    n = 4473
+    assert n * n > momlab.cli.MAX_RUN_VALUES >= 2 * n
+    cfg_path = tmp_path / "cfg.json"
+    cfg = _write_config(cfg_path, spectrum=None, n=n, cond=1e4, spectrum_law="log-uniform",
+                        rotate=True, num_steps=1, x0="random-unit",
+                        params={"source": "theorem1"})
+    cfg_path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("momlab: error: rotated run of K=1 steps at n=4473 ")
+    assert err.count("\n") == 1 and f" {n * n} values" in err
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_run_largest_rotated_trajectory_level_still_runs(tmp_path):
+    # the largest rotated level of the benchmark's trajectory workload
+    cfg_path = tmp_path / "cfg.json"
+    cfg = _write_config(cfg_path, spectrum=None, n=402, cond=1e4, spectrum_law="log-uniform",
+                        rotate=True, num_steps=None, eps=1e-4, method="nag", x0="random-unit",
+                        params={"source": "theorem2"})
+    cfg_path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    _, rows = _read_csv(tmp_path / "run.csv")
+    assert rows[-1, 2] <= 1e-4 * rows[0, 1]
+
+
 def test_run_bad_json_reports_line(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("{\n  'bad': }\n")

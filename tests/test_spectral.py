@@ -10,6 +10,7 @@ from momlab.errors import DomainError, InternalConsistencyError
 from momlab.methods import theorem1_params, theorem2_params
 from momlab.problems import EigenBounds
 from momlab.spectral import (
+    ALPHA_I_MAX,
     COMPLEX_PAIR,
     DOUBLE_ROOT,
     REAL_PAIR,
@@ -21,13 +22,16 @@ from momlab.spectral import (
     gershgorin_norm_bound,
     hbm_block,
     nag_block,
+    parameter_grid,
     power_norm_bound,
     r_power,
     schur_factors,
+    snapped_double_root,
     spectral_norm_2x2,
 )
+from momlab.verify import clamped_eigvec_condition, verify_norm_bound
 
-from conftest import batched_sigma_max
+from conftest import batched_sigma_max, reference_analysis, reference_eigvec_condition
 
 
 def _analyses(grid):
@@ -488,3 +492,143 @@ def test_block_power_internal_consistency_guard():
     )
     with pytest.raises(InternalConsistencyError):
         block_power(fake, 9)
+
+
+# ---------------------------------------------------------------------------
+# one point or arrays of points: the array path against the scalar reference
+
+_FIELDS = ("beta_i", "product", "gamma", "lambda_plus", "lambda_minus", "rho", "regime")
+
+
+def _reprs(values):
+    """repr of every entry as a Python scalar: equal reprs mean equal bits,
+    signed zeros included."""
+    return [repr(v) for v in np.ravel(values).tolist()]
+
+
+def _edge_points():
+    betas = [0.05 * l for l in range(20)]
+    return (
+        [(1.0, b) for b in betas]  # NAG nilpotent at alpha_i = 1
+        + [(1.0 + b, b) for b in betas]  # HBM trace 1 + beta - alpha_i = 0
+        + [(a, 0.0) for a in (1e-9, 0.3, 1.0, 1.7, 2.0)]  # beta = 0
+        + [snapped_double_root(a) for a in (1e-6, 0.01, 0.25, 0.49, 1.3, 2.0)]
+    )
+
+
+def _assert_array_matches_reference(family, points):
+    alphas, betas = (np.array(column) for column in zip(*points))
+    analyze = analyze_hbm if family == "hbm" else analyze_nag
+    spec = analyze(alphas, betas)
+    expected = [reference_analysis(family, a, b) for a, b in points]
+    for name in _FIELDS:
+        assert _reprs(getattr(spec, name)) == [repr(getattr(r, name)) for r in expected], name
+    conds = [repr(reference_eigvec_condition(r)) for r in expected]
+    assert _reprs(eigvec_condition(spec)) == conds
+
+
+@pytest.mark.parametrize("family", ["hbm", "nag"])
+def test_array_analysis_is_bitwise_the_scalar_reference(family, fine_grid):
+    points = fine_grid + _edge_points()
+    _assert_array_matches_reference(family, points)
+    analyze = analyze_hbm if family == "hbm" else analyze_nag
+    for a, b in points:  # a scalar call is the 0-d case of the same body
+        spec, expected = analyze(a, b), reference_analysis(family, a, b)
+        assert [repr(getattr(spec, name)) for name in _FIELDS] == [
+            repr(getattr(expected, name)) for name in _FIELDS
+        ]
+        assert repr(eigvec_condition(spec)) == repr(reference_eigvec_condition(expected))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    family=st.sampled_from(["hbm", "nag"]),
+    points=st.lists(
+        st.tuples(st.floats(1e-9, 2.0), st.floats(0.0, 0.999)), min_size=1, max_size=40
+    ),
+)
+def test_array_analysis_property(family, points):
+    _assert_array_matches_reference(family, points)
+    alphas = np.array([a for a, _ in points])
+    assert _reprs(double_root_beta(alphas)) == [repr((1.0 - math.sqrt(a)) ** 2) for a in alphas]
+
+
+@pytest.mark.parametrize("resolution", [195, 200])
+def test_clamped_eigvec_condition_is_bitwise_on_the_fig4_left_grid(resolution):
+    # the grid of `momlab figure --figure fig4-left`
+    alphas = [2.0 * j / resolution for j in range(1, resolution + 1)]
+    betas = [0.05 * l for l in range(20)]
+    a, b = np.meshgrid(alphas, betas, indexing="ij")
+    expected = [
+        repr(min(reference_eigvec_condition(reference_analysis("hbm", x, y)), 20.0))
+        for x in alphas
+        for y in betas
+    ]
+    assert _reprs(clamped_eigvec_condition(a, b)) == expected
+
+
+@pytest.mark.parametrize("step", [0.1, 0.05, 0.02])
+def test_schur_stack_is_bitwise_the_per_point_factors(step):
+    grid = parameter_grid(alpha_step=step)
+    alphas, betas = (np.array(column) for column in zip(*grid))
+    spec = analyze_hbm(alphas, betas)
+    factors = schur_factors(spec)
+    t_inverse, reconstruct, blocks = factors.t_inverse(), factors.reconstruct(), spec.block()
+    assert factors.T.shape == factors.R.shape == reconstruct.shape == (len(grid), 2, 2)
+    for i, (a, b) in enumerate(grid):
+        point = reference_analysis("hbm", a, b)
+        lp, lm = point.lambda_plus, point.lambda_minus
+        t = np.array([[1.0, 0.0], [lp, 1.0]], dtype=complex)
+        r = np.array([[lp, 1.0], [0.0, lm]], dtype=complex)
+        t_inv = np.array([[1.0, 0.0], [-t[1, 0], 1.0]], dtype=complex)
+        assert factors.T[i].tobytes() == t.tobytes() and factors.R[i].tobytes() == r.tobytes()
+        assert t_inverse[i].tobytes() == t_inv.tobytes()
+        assert reconstruct[i].tobytes() == (t @ r @ t_inv).tobytes()
+        assert blocks[i].tobytes() == analyze_hbm(a, b).block().tobytes()
+
+
+def test_scalar_calls_return_python_scalars():
+    spec = analyze_hbm(0.3, 0.5)
+    assert type(spec.lambda_plus) is complex and type(spec.lambda_minus) is complex
+    assert type(spec.gamma) is complex and type(spec.regime) is str
+    assert type(spec.rho) is float and type(spec.beta_i) is float and type(spec.product) is float
+    assert spec.alpha_i == 0.3 and spec.beta == 0.5
+    assert type(analyze_nag(0.3, 0.5).rho) is float
+    assert type(eigvec_condition(spec)) is float
+    double = analyze_hbm(*snapped_double_root(0.25))
+    assert eigvec_condition(double) == math.inf and type(eigvec_condition(double)) is float
+    assert type(double_root_beta(0.25)) is float
+    assert type(clamped_eigvec_condition(0.3, 0.5)) is float
+    assert clamped_eigvec_condition(*snapped_double_root(0.25)) == 20.0
+    assert schur_factors(spec).T.shape == (2, 2) and spec.block().shape == (2, 2)
+
+
+def test_array_calls_name_the_first_entry_out_of_domain():
+    with pytest.raises(DomainError, match=r"^alpha_i must lie in \(0, 2\], got 2\.3$"):
+        analyze_hbm(2.3, 0.5)
+    with pytest.raises(DomainError, match=r"^alpha_i must lie in \(0, 2\], got 2\.5$"):
+        analyze_hbm(np.array([0.5, 2.5, 3.0]), 0.5)
+    with pytest.raises(DomainError, match=r"^beta must lie in \[0, 1\), got 1\.0$"):
+        analyze_nag(0.5, np.array([[0.2, 1.0], [0.3, 1.5]]))
+    with pytest.raises(DomainError, match=r"^alpha_i must be positive, got -1\.0$"):
+        analyze_nag(np.array([0.5, -1.0]), 0.5)
+    with pytest.raises(DomainError, match=r"^alpha_i must be positive, got 0\.0$"):
+        double_root_beta(np.array([0.5, 0.0]))
+    with pytest.warns(UserWarning, match=r"^alpha_i=2\.5 outside \(0, 2\]; continuing"):
+        spec = analyze_hbm(np.array([0.5, 2.5]), 0.9, strict=False)
+    assert spec.rho.shape == (2,)
+
+
+@pytest.mark.parametrize("step", [0.3, 0.7, 0.15])
+def test_parameter_grid_stops_at_alpha_max(step):
+    grid = parameter_grid(alpha_step=step)
+    assert max(a for a, _ in grid) <= ALPHA_I_MAX
+    assert verify_norm_bound(grid=grid, kmax=3).passed
+
+
+@pytest.mark.parametrize("step", [0.1, 0.05, 0.02])
+def test_parameter_grid_keeps_its_points(step):
+    alphas = [step * j for j in range(1, int(round(2.0 / step)) + 1)]
+    betas = [0.05 * l for l in range(20)]
+    expected = [(a, b) for a in alphas for b in betas] + [snapped_double_root(a) for a in alphas]
+    assert parameter_grid(alpha_step=step) == expected
