@@ -2,7 +2,8 @@
 verification reports.
 
 Exit codes: 0 = success/verified, 2 = a verification check failed,
-3 = precondition or configuration error. CSV files are byte-deterministic
+3 = precondition or configuration error, a request above MAX_RUN_VALUES or
+an allocation that fails. CSV files are byte-deterministic
 for a fixed config and seed: header row, comma separators, "\\n" line ends,
 floats printed with 17 significant digits.
 """
@@ -10,6 +11,7 @@ floats printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -26,6 +28,7 @@ from .errors import (
     NotPositiveDefiniteError,
     PreconditionError,
     SingularMatrixError,
+    require_storable,
 )
 from .methods import (
     MethodKind,
@@ -55,11 +58,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 2
 EXIT_CONFIG = 3
-
-# Largest array a run may store: (num_steps + 1) * n iterates, and the n * n
-# rotation of a rotated problem. This caps its memory at a few arrays of
-# 8 * MAX_RUN_VALUES bytes.
-MAX_RUN_VALUES = 20_000_000
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4-left", "fig4-right", "fig5-analogue")
 VERIFY_IDS = ("thm1", "thm2", "norm-bound", "schur")
@@ -297,12 +295,10 @@ def _cmd_run(args) -> int:
     else:
         budget_of = theorem1_budget if cfg.source == "theorem1" else theorem2_budget
         num_steps = budget_of(bounds.cond_bar, _convert("eps", cfg.eps, float)).budget
-    stored = max((num_steps + 1) * spectrum.n, spectrum.n * spectrum.n if cfg.rotate else 0)
-    if stored > MAX_RUN_VALUES:
-        raise ConfigError(
-            f"{'rotated ' if cfg.rotate else ''}run of K={num_steps} steps at n={spectrum.n}"
-            f" would store {stored} values, above MAX_RUN_VALUES={MAX_RUN_VALUES}"
-        )
+    require_storable(
+        max((num_steps + 1) * spectrum.n, spectrum.n * spectrum.n if cfg.rotate else 0),
+        f"{'rotated ' if cfg.rotate else ''}run of K={num_steps} steps at n={spectrum.n}",
+    )
 
     if cfg.rotate:
         shift = np.zeros(spectrum.n) if cfg.shift is None else _convert("shift", cfg.shift, _floats)
@@ -351,6 +347,17 @@ def _alpha_axis(limit: float, resolution: int, open_end: bool) -> np.ndarray:
     return limit * np.arange(1, top + 1) / resolution
 
 
+def _figure_shape(figure_id: str, resolution: int, steps: int) -> tuple[int, int]:
+    """(rows, columns) of the table :func:`_figure_rows` builds."""
+    if figure_id == "fig1":
+        return steps + 1, 4
+    if figure_id == "fig3":
+        return resolution - 1, 4
+    if figure_id == "fig4-right":
+        return resolution, 2
+    return resolution * len(_GRID_BETAS), 3
+
+
 def _figure_rows(figure_id: str, resolution: int, steps: int):
     if figure_id == "fig1":
         problem = make_diagonal_problem([1.0, 100.0])
@@ -387,9 +394,13 @@ def _cmd_figure(args) -> int:
     if args.figure not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {args.figure!r}; known: {', '.join(FIGURE_IDS)}")
     out = args.out if args.out is not None else f"{args.figure}.csv"
-    header, rows = _figure_rows(args.figure, args.resolution, args.steps)
-    if not rows:
+    num_rows, num_columns = _figure_shape(args.figure, args.resolution, args.steps)
+    if num_rows == 0:
         raise ConfigError(f"figure {args.figure} has no rows at resolution {args.resolution}")
+    require_storable(
+        num_rows * num_columns, f"figure {args.figure} of {num_rows} rows x {num_columns} columns"
+    )
+    header, rows = _figure_rows(args.figure, args.resolution, args.steps)
     _write_csv(out, header, rows)
     print(f"figure: id={args.figure} rows={len(rows)} out={out}")
     return EXIT_OK
@@ -457,7 +468,9 @@ def _cmd_params(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="momlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -516,6 +529,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"momlab: i/o error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"momlab: error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the storage limit that
+commands check before they allocate."""
+
+# Largest array a command may store: a run's (num_steps + 1) * n iterates per
+# start, the n * n rotation of a rotated problem, a figure's CSV table and a
+# sweep's (points, kmax) log array. This caps its memory at a few arrays of
+# 8 * MAX_RUN_VALUES bytes.
+MAX_RUN_VALUES = 20_000_000
 
 
 class InvalidSpectrumError(ValueError):
@@ -38,3 +45,11 @@ class InternalConsistencyError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration is malformed or self-contradictory."""
+
+
+def require_storable(values: int, what: str) -> None:
+    """Raise ConfigError if ``what`` would store more than MAX_RUN_VALUES values."""
+    if values > MAX_RUN_VALUES:
+        raise ConfigError(
+            f"{what} would store {values} values, above MAX_RUN_VALUES={MAX_RUN_VALUES}"
+        )

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .complexity import MIN_COND_BAR
-from .errors import PreconditionError
+from .errors import DimensionMismatchError, PreconditionError
 from .problems import (
     EigenBounds,
     QuadraticProblem,
@@ -41,6 +41,7 @@ from .problems import (
     _from_eigenbasis,
     _to_eigenbasis,
 )
+from .spectral import _first_outside
 
 __all__ = [
     "MethodKind",
@@ -62,17 +63,24 @@ class MethodKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MethodParams:
-    """Step length alpha > 0, momentum beta in [0, 1), and the iteration kind."""
+    """Step length alpha > 0, momentum beta in [0, 1), and the iteration kind.
 
-    alpha: float
-    beta: float
+    ``alpha`` and ``beta`` are floats, or (n,) arrays that give each
+    eigenbasis coordinate of an n-dimensional problem its own value; an
+    invalid array is reported by its first offending entry.
+    """
+
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
     kind: MethodKind
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (0.0 <= self.beta < 1.0):
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
+        bad = _first_outside(self.alpha, lambda a: (a > 0.0) & np.isfinite(a))
+        if bad is not None:
+            raise ValueError(f"alpha must be positive and finite, got {bad}")
+        bad = _first_outside(self.beta, lambda b: (0.0 <= b) & (b < 1.0))
+        if bad is not None:
+            raise ValueError(f"beta must lie in [0, 1), got {bad}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +144,25 @@ def run(problem: QuadraticProblem, params: MethodParams, x0, num_steps: int) -> 
     diagonal HBM or NAG run reproduces them bit for bit. ``x0`` is one start
     of shape (n,) or a (batch, n) stack of starts that are iterated
     together; see :class:`Trajectory` for the result.
+
+    Per-coordinate ``params.alpha``/``params.beta`` of shape (n,) give
+    coordinate i its own rule: each coordinate evolves alone, so coordinate
+    i of such a run equals, bit for bit, that of a run with the scalars
+    alpha[i] and beta[i] at the same curvature d_i.
     """
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-    z0 = _to_eigenbasis(problem, _as_points(x0, problem.dimension, "x0"))
-    alpha, beta, d = params.alpha, params.beta, problem.eigenvalues
+    n = problem.dimension
+    for name in ("alpha", "beta"):
+        shape = np.shape(getattr(params, name))
+        if shape not in ((), (n,)):
+            raise DimensionMismatchError(f"params.{name} has shape {shape}, expected () or ({n},)")
+    z0 = _to_eigenbasis(problem, _as_points(x0, n, "x0"))
+    # operands at the error's shape, so no step broadcasts a scalar or a row
+    alpha, beta, d = (
+        np.ascontiguousarray(np.broadcast_to(v, z0.shape))
+        for v in (params.alpha, params.beta, problem.eigenvalues)
+    )
     accelerated = params.kind in (MethodKind.NAG_TWO_SEQUENCE, MethodKind.NAG_COMPACT)
     errors = np.empty((num_steps + 1, *z0.shape))
     errors[0] = u_prev = z0

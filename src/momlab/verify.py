@@ -2,11 +2,15 @@
 
 These back the ``verify`` CLI subcommand and the acceptance tests. A sweep
 returns a report object with per-cell lines (sorted by cell key, so output
-is deterministic) and an overall pass flag. The theorem checks iterate all
-seeds of a (cond, eps) cell as one batch. The norm-bound and Schur sweeps
-analyse the whole grid in one array call, power its (points, 2, 2) block or
-Schur stack in one scale-tracked loop and compare every (point, k) against
-its bound as one array expression; only violations are formatted.
+is deterministic) and an overall pass flag. A theorem check iterates all
+its (cond, eps) pairs and seeds in one run: each pair is two coordinates
+{1, cond} of one diagonal problem with the pair's own per-coordinate
+parameters, and reads its ratios at its own budget. The
+norm-bound and Schur sweeps analyse the whole grid in one array call,
+power its (points, 2, 2) block or Schur stack in one scale-tracked loop
+and compare every (point, k) against its bound as one array expression;
+only violations are formatted. Every check refuses, before it allocates,
+an array of more than ``MAX_RUN_VALUES`` values.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexity import theorem1_budget, theorem2_budget
-from .methods import run, theorem1_params, theorem2_params
+from .errors import require_storable
+from .methods import MethodParams, run, theorem1_params, theorem2_params
 from .problems import EigenBounds, make_diagonal_problem
 from .seeding import X0_STREAM, stream_seed
 from .spectral import (
@@ -107,10 +112,16 @@ def verify_theorem(
 
     For every (cond, eps, seed) cell: run the method with its fixed-parameter
     rule for the computed budget K from a seeded unit-norm start and check
-    ||(x_{K-1}+x_K)/2 - x*|| <= eps * ||x_0 - x*|| with no slack. The starts
-    of all seeds of one (cond, eps) pair run as one (seeds, 2) batch.
+    ||(x_{K-1}+x_K)/2 - x*|| <= eps * ||x_0 - x*|| with no slack.
     Precondition violations (cond < 28, eps > 1/cond) raise before any cell
-    runs.
+    runs, and so does a run too large to store (``MAX_RUN_VALUES``).
+
+    All m (cond, eps) pairs run as one problem in one ``run`` call: pair j's
+    spectrum {1, c} sits at coordinates j and m + j, each with the pair's own
+    per-coordinate alpha and beta, and its seeds' starts fill those two
+    columns of one (seeds, 2m) stack. The run goes to the largest K, and
+    pair j reads its ratio at its own K, bit for bit the ratio of its own
+    (seeds, 2) run.
     """
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
@@ -122,26 +133,45 @@ def verify_theorem(
     params_of = theorem1_params if which == 1 else theorem2_params
     label = f"thm{which}"
 
-    cells = []
+    pairs = []
     for ci, cond in enumerate(sorted(conds)):
         bounds = EigenBounds(1.0, float(cond))
         params = params_of(bounds)
-        problem = make_diagonal_problem([1.0, float(cond)])
         for ei, eps in enumerate(sorted(eps_values)):
             budget = budget_of(bounds.cond_bar, float(eps)).budget
             if budget_override is not None:
                 budget = budget_override
-            cells.append((ci, float(cond), ei, float(eps), problem, params, budget))
+            pairs.append((ci, float(cond), ei, float(eps), params, budget))
+
+    m, num_steps = len(pairs), max(pair[-1] for pair in pairs)
+    require_storable(
+        max((num_steps + 1) * num_seeds * 2 * m, (2 * m) ** 2),
+        f"{label} run of K={num_steps} steps at seeds={num_seeds} pairs={m}",
+    )
+    curvatures = [1.0] * m + [cond for _, cond, *_ in pairs]
+    problem = make_diagonal_problem(curvatures)
+    # conds are sorted and >= 28, so the sorted spectrum keeps this layout
+    assert problem.eigenvalues.tolist() == curvatures
+    rules = [params for *_, params, _ in pairs] * 2
+    params = MethodParams(
+        np.array([p.alpha for p in rules]), np.array([p.beta for p in rules]), rules[0].kind
+    )
+    starts = np.empty((num_seeds, 2 * m))
+    for j, (ci, _, ei, _, _, _) in enumerate(pairs):
+        for si in range(num_seeds):
+            seed = stream_seed(master_seed, X0_STREAM, ci, ei, si)
+            starts[si, [j, m + j]] = _unit_start(2, seed)
+    traj = run(problem, params, starts, num_steps)
 
     cases = []
-    for ci, cond, ei, eps, problem, params, budget in cells:
-        seeds = [stream_seed(master_seed, X0_STREAM, ci, ei, si) for si in range(num_seeds)]
-        starts = np.array([_unit_start(2, seed) for seed in seeds])
-        traj = run(problem, params, starts, budget)
-        for si, (x0, averaged) in enumerate(zip(starts, traj.averaged_final)):
-            # per-row norms, so each ratio equals that of the seed's own run
-            start_dist = float(np.linalg.norm(x0 - problem.x_star))
-            ratio = float(np.linalg.norm(averaged - problem.x_star)) / start_dist
+    for j, (_, cond, _, eps, _, budget) in enumerate(pairs):
+        cols = [j, m + j]
+        final = traj.errors[budget - 1 : budget + 1][..., cols]
+        averaged = 0.5 * (final[0] + final[1])
+        for si, (x0, x_avg) in enumerate(zip(starts[:, cols], averaged)):
+            # x* = 0, so errors are points; per-row norms, so each ratio
+            # equals that of the seed's own run
+            ratio = float(np.linalg.norm(x_avg)) / float(np.linalg.norm(x0))
             cases.append(
                 TheoremCase(cond=cond, eps=eps, seed_index=si, budget=budget, ratio=ratio)
             )
@@ -197,9 +227,11 @@ def _log_tightness_lower(rho: np.ndarray, kmax: int) -> np.ndarray:
     return _log_power_law(rho, kmax, 1, -1)
 
 
-def _grid_spectra(grid):
-    """The sweep grid (``parameter_grid(0.1)`` by default) and its spectra as arrays."""
+def _grid_spectra(label: str, grid, kmax: int):
+    """The sweep grid (``parameter_grid(0.1)`` by default) and its spectra as
+    arrays, once its (points, kmax) log arrays are known to fit MAX_RUN_VALUES."""
     grid = parameter_grid(alpha_step=0.1) if grid is None else list(grid)
+    require_storable(len(grid) * kmax, f"{label} sweep of kmax={kmax} over {len(grid)} points")
     alphas, betas = np.array(grid, dtype=float).reshape(-1, 2).T
     return grid, analyze_hbm(alphas, betas)
 
@@ -227,7 +259,7 @@ def verify_norm_bound(grid=None, kmax: int = 200) -> SweepReport:
     (points, kmax) comparison in log space, so deeply contracted powers stay
     exact.
     """
-    grid, spec = _grid_spectra(grid)
+    grid, spec = _grid_spectra("norm-bound", grid, kmax)
     log_norms = log_power_norms(spec.block(), kmax)
     log_bound = _log_upper_bound(spec.rho, kmax)
     violations = [
@@ -255,7 +287,7 @@ _COND_T_MAX = 3.0
 def verify_schur(grid=None, kmax: int = 200) -> SweepReport:
     """Schur suite: reconstruction to 1e-12, cond(T) <= 3, and
     ||R^k|| <= rho^{k-1} (k+1) with exact norms, over the grid as one stack."""
-    grid, spec = _grid_spectra(grid)
+    grid, spec = _grid_spectra("schur", grid, kmax)
     factors = schur_factors(spec)
     recon = np.abs(factors.reconstruct() - spec.block()).max(axis=(-2, -1))
     cond_t = spectral_norm_2x2(factors.T) * spectral_norm_2x2(factors.t_inverse())

@@ -4,7 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from momlab.complexity import theorem1_budget, theorem2_budget
+from momlab.methods import run, theorem1_params, theorem2_params
+from momlab.problems import EigenBounds, make_diagonal_problem
+from momlab.seeding import X0_STREAM, stream_seed
 from momlab.spectral import COMPLEX_PAIR, DOUBLE_ROOT, DOUBLE_ROOT_TOL, REAL_PAIR, parameter_grid
+from momlab.verify import TheoremCase, _unit_start
 
 
 @pytest.fixture(scope="session")
@@ -85,3 +90,33 @@ def reference_eigvec_condition(spec) -> float:
     if mu_minus <= 0.0:
         return math.inf
     return math.sqrt((mid + half_span) / mu_minus)
+
+
+def reference_theorem_lines(
+    which, conds, eps_values, num_seeds, master_seed=0, budget_override=None
+) -> list[str]:
+    """The report lines of ``verify_theorem`` computed one (cond, eps) cell
+    at a time: one problem {1, cond} and one (seeds, 2) run per cell, with
+    scalar parameters. The reference for the single stacked run."""
+    budget_of = theorem1_budget if which == 1 else theorem2_budget
+    params_of = theorem1_params if which == 1 else theorem2_params
+    cases = []
+    for ci, cond in enumerate(sorted(conds)):
+        bounds = EigenBounds(1.0, float(cond))
+        params = params_of(bounds)
+        problem = make_diagonal_problem([1.0, float(cond)])
+        for ei, eps in enumerate(sorted(eps_values)):
+            budget = budget_of(bounds.cond_bar, float(eps)).budget
+            if budget_override is not None:
+                budget = budget_override
+            seeds = [stream_seed(master_seed, X0_STREAM, ci, ei, si) for si in range(num_seeds)]
+            starts = np.array([_unit_start(2, seed) for seed in seeds])
+            traj = run(problem, params, starts, budget)
+            for si, (x0, averaged) in enumerate(zip(starts, traj.averaged_final)):
+                start_dist = float(np.linalg.norm(x0 - problem.x_star))
+                ratio = float(np.linalg.norm(averaged - problem.x_star)) / start_dist
+                cases.append(TheoremCase(float(cond), float(eps), si, budget, ratio))
+    label = f"thm{which}"
+    lines = [case.line(label) for case in cases]
+    num_pass = sum(case.passed for case in cases)
+    return lines + [f"{label}: {num_pass}/{len(cases)} cells passed"]

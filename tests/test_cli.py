@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momlab.cli import main
+from momlab.cli import _build_parser, _figure_rows, _figure_shape, main
+from momlab.errors import MAX_RUN_VALUES
 from momlab.verify import verify_norm_bound, verify_theorem
 
 
@@ -379,7 +380,7 @@ def test_run_refuses_a_run_too_large_to_store(tmp_path, capsys, monkeypatch, pat
     cfg = _write_config(cfg_path)
     cfg.update(patch)
     cfg_path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
-    assert (steps + 1) * n > momlab.cli.MAX_RUN_VALUES
+    assert (steps + 1) * n > MAX_RUN_VALUES
     assert main(["run", "--config", str(cfg_path), *argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("momlab: error: ") and err.count("\n") == 1
@@ -397,7 +398,7 @@ def test_run_refuses_a_rotation_too_large_to_store(tmp_path, capsys, monkeypatch
     for name in ("run", "make_diagonal_problem", "make_rotated_problem"):
         monkeypatch.setattr(momlab.cli, name, no_allocation)
     n = 4473
-    assert n * n > momlab.cli.MAX_RUN_VALUES >= 2 * n
+    assert n * n > MAX_RUN_VALUES >= 2 * n
     cfg_path = tmp_path / "cfg.json"
     cfg = _write_config(cfg_path, spectrum=None, n=n, cond=1e4, spectrum_law="log-uniform",
                         rotate=True, num_steps=1, x0="random-unit",
@@ -407,6 +408,33 @@ def test_run_refuses_a_rotation_too_large_to_store(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("momlab: error: rotated run of K=1 steps at n=4473 ")
     assert err.count("\n") == 1 and f" {n * n} values" in err
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "detail, message",
+    [
+        ("Unable to allocate 298. GiB for an array with shape (200000, 200000)",) * 2,
+        ("", "allocation failed"),
+    ],
+)
+def test_run_out_of_memory_exits_3_without_a_traceback(
+    tmp_path, capsys, monkeypatch, detail, message
+):
+    # n = 200000 passes the run guard, but its diagonal Hessian would hold n^2 values
+    import momlab.cli
+
+    def out_of_memory(spectrum):
+        assert spectrum.n == 200000
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(momlab.cli, "make_diagonal_problem", out_of_memory)
+    cfg_path = tmp_path / "cfg.json"
+    cfg = _write_config(cfg_path, spectrum=None, n=200000, cond=1e4, spectrum_law="log-uniform",
+                        num_steps=1, x0="random-unit", params={"source": "theorem1"})
+    cfg_path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == f"momlab: error: out of memory: {message}\n"
     assert not (tmp_path / "run.csv").exists()
 
 
@@ -517,6 +545,97 @@ def test_figure_without_rows_exits_3(tmp_path, capsys):
     assert main(["figure", "--figure", "fig3", "--resolution", "1", "--out", str(out)]) == 3
     assert "no rows" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, rows, columns",
+    [
+        (["--figure", "fig2", "--resolution", "1000000"], 20000000, 3),
+        (["--figure", "fig5-analogue", "--resolution", "333334"], 6666680, 3),
+        (["--figure", "fig3", "--resolution", "5000002"], 5000001, 4),
+        (["--figure", "fig4-right", "--resolution", "10000001"], 10000001, 2),
+        (["--figure", "fig1", "--steps", "5000000"], 5000001, 4),
+    ],
+)
+def test_figure_too_large_to_store_is_refused(tmp_path, capsys, monkeypatch, argv, rows, columns):
+    import momlab.cli
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the refusal must come before any figure row is built")
+
+    monkeypatch.setattr(momlab.cli, "_figure_rows", no_allocation)
+    out = tmp_path / "fig.csv"
+    assert rows * columns > MAX_RUN_VALUES
+    assert main(["figure", *argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"momlab: error: figure {argv[1]} of {rows} rows x {columns} columns would store"
+        f" {rows * columns} values, above MAX_RUN_VALUES={MAX_RUN_VALUES}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3", "fig4-left", "fig4-right", "fig5-analogue"])
+def test_figure_shape_is_the_shape_of_its_rows(figure):
+    header, rows = _figure_rows(figure, 7, 9)
+    assert _figure_shape(figure, 7, 9) == (len(rows), len(header))
+    assert {len(row) for row in rows} == {len(header)}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["norm-bound", "--steps", "10000000"], "norm-bound sweep of kmax=10000000 over 420 points"),
+        (["schur", "--steps", "47620"], "schur sweep of kmax=47620 over 420 points"),
+        (["thm1", "--steps", "10000000"], "thm1 run of K=10000000 steps at seeds=20 pairs=3"),
+        (["thm2", "--seeds", "7", "--cond", "28,1e6", "--eps", "1e-300,1e-6"],
+         "thm2 run of K=1382939 steps at seeds=7 pairs=4"),
+    ],
+)
+def test_verify_too_large_to_store_is_refused(capsys, monkeypatch, argv, message):
+    import momlab.verify
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the refusal must come before any sweep or run allocates")
+
+    for name in ("run", "make_diagonal_problem", "log_power_norms", "schur_factors"):
+        monkeypatch.setattr(momlab.verify, name, no_allocation)
+    assert main(["verify", *argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"momlab: error: {message} would store ") and err.count("\n") == 1
+    assert err.endswith(f" values, above MAX_RUN_VALUES={MAX_RUN_VALUES}\n")
+
+
+def test_repeated_main_calls_match_a_fresh_parser(tmp_path, capsys):
+    argvs = [
+        ["params", "--cond", "100", "--eps", "0.01"],
+        ["verify", "thm2", "--cond", "100", "--eps", "0.01", "--seeds", "2"],
+        ["figure", "--figure", "fig3", "--resolution", "9", "--out", str(tmp_path / "a.csv")],
+        ["verify", "bogus-check"],
+        ["verify", "thm1", "--cond", "28", "--eps", "0.01", "--seeds", "1", "--steps", "4"],
+        ["params", "--eps", "0.01"],
+        ["figure", "--figure", "fig3", "--resolution", "9", "--out", str(tmp_path / "b.csv")],
+        ["run"],
+        ["verify", "thm1", "--seeds", "0"],
+        ["params", "--lower", "2", "--upper", "200", "--eps", "0.01"],
+    ]
+
+    def outcomes(fresh):
+        results = []
+        for argv in argvs:
+            if fresh:
+                _build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    assert _build_parser() is _build_parser()
+    cached = outcomes(fresh=False)
+    assert [code for code, _, _ in cached] == [0, 0, 0, 3, 2, 3, 0, 3, 3, 0]
+    assert outcomes(fresh=True) == cached
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_figure_unknown_id(capsys):

@@ -38,6 +38,51 @@ def test_params_validation():
         MethodParams(0.1, -0.1, MethodKind.HBM)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, message",
+    [
+        (0.0, 0.5, "alpha must be positive and finite, got 0.0"),
+        (math.inf, 0.5, "alpha must be positive and finite, got inf"),
+        (math.nan, 0.5, "alpha must be positive and finite, got nan"),
+        (0.1, 1.0, "beta must lie in [0, 1), got 1.0"),
+        (0.1, -0.1, "beta must lie in [0, 1), got -0.1"),
+        (0.1, math.nan, "beta must lie in [0, 1), got nan"),
+        # an array names its first offending entry, in the scalar's words
+        (np.array([0.1, 0.2, -0.3, 0.0]), 0.5, "alpha must be positive and finite, got -0.3"),
+        (np.array([0.1, np.inf]), np.array([0.5, 0.5]), "alpha must be positive and finite, got inf"),
+        (np.array([0.1, 0.2]), np.array([0.5, 1.0]), "beta must lie in [0, 1), got 1.0"),
+        (0.1, np.array([0.0, np.nan, 0.9]), "beta must lie in [0, 1), got nan"),
+    ],
+)
+def test_params_validation_messages(alpha, beta, message):
+    with pytest.raises(ValueError) as exc:
+        MethodParams(alpha, beta, MethodKind.HBM)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("batch", [None, 5], ids=["single", "batch"])
+@pytest.mark.parametrize("kind", list(MethodKind), ids=lambda kind: kind.value)
+def test_per_coordinate_run_equals_each_pairs_scalar_run_bitwise(kind, batch):
+    # pair j's spectrum {1, c_j} at coordinates j and m + j, as verify_theorem
+    # stacks its cells
+    conds = [28.0, 30.0, 100.0, 1000.0]
+    m = len(conds)
+    rule = theorem1_params if kind in (MethodKind.MM, MethodKind.HBM) else theorem2_params
+    rules = [rule(EigenBounds(1.0, c)) for c in conds] * 2
+    params = MethodParams(
+        np.array([p.alpha for p in rules]), np.array([p.beta for p in rules]), kind
+    )
+    problem = make_diagonal_problem([1.0] * m + conds)
+    shape = (2 * m,) if batch is None else (batch, 2 * m)
+    x0 = np.random.default_rng(8).standard_normal(shape)
+    stacked = run(problem, params, x0, 400)
+    for j, cond in enumerate(conds):
+        pair = [j, m + j]
+        scalar = MethodParams(rules[j].alpha, rules[j].beta, kind)
+        alone = run(make_diagonal_problem([1.0, cond]), scalar, x0[..., pair], 400)
+        assert np.array_equal(stacked.errors[..., pair], alone.errors)
+
+
 def _pair_problems(lam, seed=3):
     """The diagonal problem {1, lam} and a rotated, shifted copy of it."""
     shift = np.random.default_rng(seed).standard_normal(2)
@@ -240,6 +285,10 @@ def test_run_rejects_bad_start_shapes():
         run(p, FIG1_PARAMS, np.ones((2, 3, 2)), 5)
     with pytest.raises(DimensionMismatchError):
         run(p, FIG1_PARAMS, np.ones((4, 3)), 5)
+    with pytest.raises(DimensionMismatchError, match=r"params.alpha has shape \(3,\)"):
+        run(p, MethodParams(np.full(3, 0.01), 0.5, MethodKind.HBM), np.ones(2), 5)
+    with pytest.raises(DimensionMismatchError, match=r"params.beta has shape \(1, 2\)"):
+        run(p, MethodParams(0.01, np.full((1, 2), 0.5), MethodKind.HBM), np.ones(2), 5)
     with pytest.raises(DimensionMismatchError):
         gradient(p, np.ones((2, 3, 2)))
     with pytest.raises(DimensionMismatchError):

@@ -1,5 +1,6 @@
-"""The batched norm-bound and Schur sweeps: report bytes, failure lines and
-the stacked power loop, each checked against a per-point reference."""
+"""The stacked theorem checks and the batched norm-bound and Schur sweeps:
+report bytes, failure lines and the stacked power loop, each checked
+against a per-cell or per-point reference."""
 
 import math
 import warnings
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from momlab import verify
+from momlab.complexity import theorem1_budget
+from momlab.errors import MAX_RUN_VALUES, ConfigError
 from momlab.spectral import (
     DOUBLE_ROOT,
     analyze_hbm,
@@ -16,7 +19,7 @@ from momlab.spectral import (
     spectral_norm_2x2,
 )
 
-from conftest import batched_sigma_max
+from conftest import batched_sigma_max, reference_theorem_lines
 
 # Last report lines of the per-point sweeps these replaced, on the default
 # 420-point grid.
@@ -185,3 +188,97 @@ def test_batched_log_power_norms_match_per_matrix_calls(fine_stacks):
         single = np.array([verify.log_power_norms(m, kmax) for m in sample])
         assert single.shape == (105, kmax) and (single == -np.inf).any()
         _assert_same_logs(logs, single, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize(
+    "conds, eps_values, num_seeds, master_seed, budget_override",
+    [
+        ([100.0, 28.0], [0.01, 0.001], 4, 9, None),
+        ([100.0, 28.0, 100.0, 28.0], [0.001, 0.01], 3, 5, None),  # duplicate conds
+        ([28.0, 1000.0, 3000.0], [3e-4, 1e-6, 1e-12], 2, 1, None),
+        ([8600.0, 28.0, 450.0], [1.0 / 8600.0], 1, 0, None),
+        ([100.0, 28.0, 1000.0], [1e-3, 1e-4], 2, 3, 3),  # every cell fails
+        ([28.0, 100.0], [0.01], 2, 4, 1),
+    ],
+)
+def test_stacked_theorem_run_matches_the_per_cell_runs(
+    which, conds, eps_values, num_seeds, master_seed, budget_override
+):
+    report = verify.verify_theorem(
+        which, conds, eps_values, num_seeds, master_seed, budget_override
+    )
+    expected = reference_theorem_lines(
+        which, conds, eps_values, num_seeds, master_seed, budget_override
+    )
+    assert report.lines == expected
+    assert report.passed == expected[-1].startswith(
+        f"thm{which}: {len(expected) - 1}/{len(expected) - 1} "
+    )
+
+
+def test_stacked_theorem_run_makes_one_problem_and_one_run(monkeypatch):
+    calls = []
+    for name in ("run", "make_diagonal_problem"):
+        original = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda *args, f=original, n=name: calls.append(n) or f(*args)
+        )
+    report = verify.verify_theorem(2, [28.0, 100.0, 1000.0], [1e-3, 1e-4], 3)
+    assert report.passed and len(report.lines) == 3 * 2 * 3 + 1
+    assert calls == ["make_diagonal_problem", "run"]
+
+
+def _refuse_allocation(monkeypatch, names):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the refusal must come before any problem or run is built")
+
+    for name in names:
+        monkeypatch.setattr(verify, name, no_allocation)
+
+
+def test_theorem_run_too_large_to_store_is_refused(monkeypatch):
+    _refuse_allocation(monkeypatch, ["run", "make_diagonal_problem"])
+    # the budget for eps = 1e-300 at cond 1e6, over two cells of 20 seeds
+    steps = theorem1_budget(1e6, 1e-300).budget
+    assert (steps + 1) * 20 * 4 > MAX_RUN_VALUES
+    with pytest.raises(ConfigError) as exc:
+        verify.verify_theorem(1, [1e6, 28.0], [1e-300], 20)
+    assert str(exc.value) == (
+        f"thm1 run of K={steps} steps at seeds=20 pairs=2 would store"
+        f" {(steps + 1) * 20 * 4} values, above MAX_RUN_VALUES={MAX_RUN_VALUES}"
+    )
+    # the diagonal Hessian of 2m coordinates holds (2m)^2 values
+    conds = np.linspace(28.0, 1000.0, 2237).tolist()
+    assert (2 * 2237) ** 2 > MAX_RUN_VALUES > (1 + 1) * 2 * 2237
+    with pytest.raises(ConfigError, match=f"would store {(2 * 2237) ** 2} values"):
+        verify.verify_theorem(2, conds, [1e-3], 1, budget_override=1)
+
+
+def test_theorem_run_at_the_storage_limit_is_not_refused(monkeypatch):
+    class Ran(Exception):
+        pass
+
+    def run(problem, params, starts, num_steps):
+        raise Ran((num_steps + 1) * starts.size)
+
+    monkeypatch.setattr(verify, "run", run)
+    # (K + 1) * seeds * 2m = MAX_RUN_VALUES exactly
+    with pytest.raises(Ran) as exc:
+        verify.verify_theorem(1, [100.0], [0.01], 10, budget_override=MAX_RUN_VALUES // 20 - 1)
+    assert exc.value.args == (MAX_RUN_VALUES,)
+
+
+@pytest.mark.parametrize("sweep", [verify.verify_norm_bound, verify.verify_schur])
+def test_sweep_too_large_to_store_is_refused(monkeypatch, sweep):
+    _refuse_allocation(monkeypatch, ["log_power_norms", "schur_factors"])
+    label = "norm-bound" if sweep is verify.verify_norm_bound else "schur"
+    with pytest.raises(ConfigError) as exc:
+        sweep(kmax=10_000_000)
+    assert str(exc.value) == (
+        f"{label} sweep of kmax=10000000 over 420 points would store 4200000000 values,"
+        f" above MAX_RUN_VALUES={MAX_RUN_VALUES}"
+    )
+    grid = parameter_grid(alpha_step=0.5)
+    with pytest.raises(AssertionError, match="refusal must come before"):
+        sweep(grid, kmax=MAX_RUN_VALUES // len(grid))  # fits, so it gets past the guard
