@@ -65,15 +65,28 @@ VERIFY_IDS = ("thm1", "thm2", "norm-bound", "schur")
 _METHOD_NAMES = {kind.value: kind for kind in MethodKind}
 
 
+# 17 significant digits: every float64 round-trips. ``%`` formats a float as
+# format(float(x), ".17g") does, byte for byte.
+_FLOAT = "%.17g"
+
+# Rows formatted per write: the text held in memory is bounded by this, not
+# by the table.
+_CSV_CHUNK_ROWS = 4096
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _FLOAT % float(x)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write a header and a table of numbers (a 2-D array or a sequence of
+    equal-length rows), formatting each chunk of rows with one ``%``."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+            chunk = np.asarray(rows[start : start + _CSV_CHUNK_ROWS], dtype=float)
+            line = ",".join([_FLOAT] * chunk.shape[1]) + "\n"
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -325,8 +338,8 @@ def _cmd_run(args) -> int:
             f"distance to the minimizer is not a finite float64 at step {int(np.argmin(finite))}:"
             " x0 or shift is too large"
         )
-    rows = [(k, dist[k], avg[k]) for k in range(num_steps + 1)]
-    _write_csv(cfg.out, ["k", "distance", "averaged_distance"], rows)
+    table = np.column_stack((np.arange(num_steps + 1), dist, avg))
+    _write_csv(cfg.out, ["k", "distance", "averaged_distance"], table)
     print(
         f"run: method={params.kind.value} alpha={_fmt(params.alpha)} beta={_fmt(params.beta)}"
         f" steps={num_steps} final_distance={_fmt(dist[-1])}"
@@ -362,21 +375,21 @@ def _figure_rows(figure_id: str, resolution: int, steps: int):
     if figure_id == "fig1":
         problem = make_diagonal_problem([1.0, 100.0])
         params = MethodParams(1.9 / 100.0, 0.85, MethodKind.HBM)
-        starts = ([0.01, 1.0], [1.0, 1.0], [100.0, 1.0])
-        trajs = [run(problem, params, x0, steps) for x0 in starts]
+        starts = np.array([[0.01, 1.0], [1.0, 1.0], [100.0, 1.0]])
+        # one run of the three starts; column j is start j's own run, bit for bit
+        distances = run(problem, params, starts, steps).distances
         header = ["k", "dist_x0_1", "dist_x0_2", "dist_x0_3"]
-        rows = [(k, *(t.distances[k] for t in trajs)) for k in range(steps + 1)]
-        return header, rows
+        return header, np.column_stack((np.arange(steps + 1), distances))
     if figure_id == "fig3":
         alphas = _alpha_axis(0.1, resolution, open_end=True)
         rho = analyze_hbm(alphas[:, None], np.array(_FIGURE_CURVE_BETAS)).rho
         header = ["alpha_i", "rho_beta_0.1", "rho_beta_0.5", "rho_beta_0.9"]
-        return header, np.column_stack([alphas, rho]).tolist()
+        return header, np.column_stack([alphas, rho])
     # fig5-analogue: the accelerated-gradient block on its admissible step
     # range a_i in (0, 1]; the other figures span the heavy-ball range (0, 2].
     alphas = _alpha_axis(1.0 if figure_id == "fig5-analogue" else 2.0, resolution, open_end=False)
     if figure_id == "fig4-right":
-        return ["alpha_i", "beta"], np.column_stack([alphas, double_root_beta(alphas)]).tolist()
+        return ["alpha_i", "beta"], np.column_stack([alphas, double_root_beta(alphas)])
     a, b = np.meshgrid(alphas, _GRID_BETAS, indexing="ij")
     if figure_id == "fig2":
         name, values = "rho", analyze_hbm(a, b).rho
@@ -384,8 +397,7 @@ def _figure_rows(figure_id: str, resolution: int, steps: int):
         name, values = "cond_s_clamped", clamped_eigvec_condition(a, b)
     else:
         name, values = "rho", analyze_nag(a, b).rho
-    rows = np.column_stack([a.ravel(), b.ravel(), values.ravel()])
-    return ["alpha_i", "beta", name], rows.tolist()
+    return ["alpha_i", "beta", name], np.column_stack([a.ravel(), b.ravel(), values.ravel()])
 
 
 def _cmd_figure(args) -> int:
@@ -413,6 +425,8 @@ def _cmd_figure(args) -> int:
 def _cmd_verify(args) -> int:
     conds = args.cond or [28.0, 100.0, 1000.0]
     if args.check in ("thm1", "thm2"):
+        if args.eps is None and max(conds) == 0.0:
+            raise ConfigError("--eps defaults to 1/max(--cond), undefined at max(--cond)=0")
         eps_values = args.eps or [1.0 / max(conds)]
         report = verify_theorem(
             1 if args.check == "thm1" else 2,

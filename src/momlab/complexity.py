@@ -96,7 +96,10 @@ def theorem1_budget(cond_bar: float, eps: float, *, strict: bool = True) -> Comp
     certified range.
     """
     _check_budget_preconditions(cond_bar, eps, strict)
-    budget = 1 + _guarded_ceil(math.sqrt(2.0 * cond_bar) * math.log(2.0 / eps))
+    steps = math.sqrt(2.0 * cond_bar) * math.log(2.0 / eps)
+    if not math.isfinite(steps):  # 2/eps overflows for eps below ~1.1e-308
+        raise PreconditionError(f"budget sqrt(2c) ln(2/eps) is not finite at eps={eps:g}")
+    budget = 1 + _guarded_ceil(steps)
     delta = 1.0 / math.sqrt(2.0 * cond_bar)
     return ComplexityReport(
         cond_bar=cond_bar,

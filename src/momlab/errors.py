@@ -4,7 +4,8 @@ commands check before they allocate."""
 # Largest array a command may store: a run's (num_steps + 1) * n iterates per
 # start, the n * n rotation of a rotated problem, a figure's CSV table and a
 # sweep's (points, kmax) log array. This caps its memory at a few arrays of
-# 8 * MAX_RUN_VALUES bytes.
+# 8 * MAX_RUN_VALUES bytes; CSV text is written in bounded chunks of rows, so
+# it adds no table-sized string on top.
 MAX_RUN_VALUES = 20_000_000
 
 

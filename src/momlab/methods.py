@@ -185,6 +185,14 @@ def _require_cond(bounds: EigenBounds) -> float:
     return cond_bar
 
 
+def _rule_params(alpha: float, beta: float, kind: MethodKind, cond_bar: float) -> MethodParams:
+    """A fixed-parameter rule's MethodParams; past cond_bar ~ 1e32 its
+    momentum rounds to 1 in float64, which is a PreconditionError."""
+    if not beta < 1.0:
+        raise PreconditionError(f"cond_bar={cond_bar:g} too large: the rule's beta rounds to 1")
+    return MethodParams(alpha=alpha, beta=beta, kind=kind)
+
+
 def theorem1_params(bounds: EigenBounds) -> MethodParams:
     """Heavy-ball rule alpha = 2/upper, beta = (1 - sqrt(2/cond_bar))^2.
 
@@ -193,7 +201,7 @@ def theorem1_params(bounds: EigenBounds) -> MethodParams:
     """
     cond_bar = _require_cond(bounds)
     beta = (1.0 - math.sqrt(2.0 / cond_bar)) ** 2
-    return MethodParams(alpha=2.0 / bounds.upper, beta=beta, kind=MethodKind.HBM)
+    return _rule_params(2.0 / bounds.upper, beta, MethodKind.HBM, cond_bar)
 
 
 def theorem2_params(bounds: EigenBounds) -> MethodParams:
@@ -202,4 +210,4 @@ def theorem2_params(bounds: EigenBounds) -> MethodParams:
     cond_bar = _require_cond(bounds)
     u = 1.0 / cond_bar
     beta = (1.0 - math.sqrt(u)) ** 2 / (1.0 - u)
-    return MethodParams(alpha=1.0 / bounds.upper, beta=beta, kind=MethodKind.NAG_TWO_SEQUENCE)
+    return _rule_params(1.0 / bounds.upper, beta, MethodKind.NAG_TWO_SEQUENCE, cond_bar)

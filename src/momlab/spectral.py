@@ -304,6 +304,27 @@ def power_norm_bound(spec: BlockSpectrum, k: int) -> float:
     return 2.0 * spec.rho ** (k - 1) * (k + 1)
 
 
+def _gram_sigma_max(a, b, c, d):
+    """Largest singular value of [[a, b], [c, d]], entrywise over arrays of one
+    dtype: sqrt of the larger eigenvalue of the Gram matrix A^H A.
+
+    Real entries stay real. Complex ones are taken apart into real products,
+    since numpy's complex multiply may fuse them and round differently. The
+    squares are formed unguarded, so entries should be of order one.
+    """
+    if np.iscomplexobj(a):
+        (ar, ai), (br, bi), (cr, ci), (dr, di) = ((z.real, z.imag) for z in (a, b, c, d))
+        g00 = (ar * ar + ai * ai) + (cr * cr + ci * ci)
+        g11 = (br * br + bi * bi) + (dr * dr + di * di)
+        g01 = _complex(
+            (ar * br + ai * bi) + (cr * dr + ci * di), (ar * bi - ai * br) + (cr * di - ci * dr)
+        )
+    else:
+        g00, g11, g01 = a * a + c * c, b * b + d * d, a * b + c * d
+    rad = np.hypot(0.5 * (g00 - g11), np.abs(g01))
+    return np.sqrt(np.maximum(0.5 * (g00 + g11) + rad, 0.0))
+
+
 def spectral_norm_2x2(m):
     """Exact largest singular value via the 2x2 Gram-matrix eigenvalues.
 
@@ -312,22 +333,22 @@ def spectral_norm_2x2(m):
     largest entry so the squared Gram entries cannot underflow for tiny
     inputs; a zero or non-finite matrix returns that largest entry.
     """
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(m)
     if a.ndim < 2 or a.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix or a stack of them, got shape {a.shape}")
+    a = a.astype(np.result_type(a.dtype, float), copy=False)
     scale = np.abs(a).max(axis=(-2, -1))
     regular = (scale > 0.0) & np.isfinite(scale)
     safe = np.where(regular, scale, 1.0)
     a = np.where(regular[..., None, None], a, 0.0)
-    # scale real/imag parts separately: complex division squares the
-    # denominator internally and would underflow for denormal scales
-    a = (a.real / safe[..., None, None]) + 1j * (a.imag / safe[..., None, None])
-    g = np.einsum("...ij,...ik->...jk", a.conj(), a)  # A^H A
-    g00, g11 = g[..., 0, 0].real, g[..., 1, 1].real
-    rad = np.hypot(0.5 * (g00 - g11), np.abs(g[..., 0, 1]))
-    lam_max = 0.5 * (g00 + g11) + rad
-    norm = np.where(regular, safe * np.sqrt(np.maximum(lam_max, 0.0)), scale)
-    return _scalar(norm)
+    if np.iscomplexobj(a):
+        # scale real/imag parts separately: complex division squares the
+        # denominator internally and would underflow for denormal scales
+        a = (a.real / safe[..., None, None]) + 1j * (a.imag / safe[..., None, None])
+    else:
+        a = a / safe[..., None, None]
+    sigma = _gram_sigma_max(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1])
+    return _scalar(np.where(regular, safe * sigma, scale))
 
 
 def gershgorin_norm_bound(m) -> float:

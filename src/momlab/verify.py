@@ -5,9 +5,9 @@ returns a report object with per-cell lines (sorted by cell key, so output
 is deterministic) and an overall pass flag. A theorem check iterates all
 its (cond, eps) pairs and seeds in one run: each pair is two coordinates
 {1, cond} of one diagonal problem with the pair's own per-coordinate
-parameters, and reads its ratios at its own budget. The
-norm-bound and Schur sweeps analyse the whole grid in one array call,
-power its (points, 2, 2) block or Schur stack in one scale-tracked loop
+parameters, and reads its ratios at its own budget. The norm-bound and
+Schur sweeps analyse the whole grid in one array call, power its block or
+Schur stack in one scale-tracked loop over the stack's four entry arrays,
 and compare every (point, k) against its bound as one array expression;
 only violations are formatted. Every check refuses, before it allocates,
 an array of more than ``MAX_RUN_VALUES`` values.
@@ -28,6 +28,7 @@ from .problems import EigenBounds, make_diagonal_problem
 from .seeding import X0_STREAM, stream_seed
 from .spectral import (
     DOUBLE_ROOT,
+    _gram_sigma_max,
     _scalar,
     analyze_hbm,
     eigvec_condition,
@@ -185,24 +186,32 @@ def log_power_norms(mat, kmax: int) -> np.ndarray:
     """log ||mat^k||_2 for k = 1..kmax by scale-tracked repeated multiplication.
 
     ``mat`` is one 2x2 matrix or a stack (..., 2, 2); the result has shape
-    (kmax,) or (..., kmax). Each running power is renormalized by its largest
-    entry every step, with its own accumulated log scale carried along, so
-    powers of strongly contracting matrices never underflow. A power that
-    becomes exactly zero (nilpotent blocks) yields -inf from that k on.
+    (kmax,) or (..., kmax). The stack is split into its four entry arrays
+    once, and each step forms the running power's four entries from them
+    (8 multiplies, 4 adds, over the whole stack). Each running power is
+    renormalized by its largest entry every step, with its own accumulated
+    log scale carried along, so powers of strongly contracting matrices never
+    underflow. A power that becomes exactly zero (nilpotent blocks) yields
+    -inf from that k on. Real input stays real.
     """
     mat = np.asarray(mat)
-    u = np.broadcast_to(np.eye(2, dtype=np.result_type(mat.dtype, float)), mat.shape)
+    a, b, c, d = mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 0], mat[..., 1, 1]
+    u00, u01, u10, u11 = 1.0, 0.0, 0.0, 1.0  # the identity, broadcast on first use
     logs = np.empty((*mat.shape[:-2], kmax))
     log_scale = np.zeros(mat.shape[:-2])
     for k in range(kmax):
-        # einsum: a stacked @ makes one BLAS call per 2x2 matrix
-        u = np.einsum("...ij,...jk->...ik", u, mat)
-        peak = np.abs(u).max(axis=(-2, -1))
+        u00, u01, u10, u11 = (
+            u00 * a + u01 * c, u00 * b + u01 * d, u10 * a + u11 * c, u10 * b + u11 * d
+        )
+        peak = np.maximum(
+            np.maximum(np.abs(u00), np.abs(u01)), np.maximum(np.abs(u10), np.abs(u11))
+        )
         peak = np.where(peak > 0.0, peak, 1.0)  # a zero power stays zero
-        u = u / peak[..., None, None]
+        u00, u01, u10, u11 = u00 / peak, u01 / peak, u10 / peak, u11 / peak
         log_scale = log_scale + np.log(peak)
+        # entries are now at most 1 in magnitude: the Gram formula needs no prescaling
         with np.errstate(divide="ignore"):  # log 0 = -inf for a zero power
-            logs[..., k] = log_scale + np.log(spectral_norm_2x2(u))
+            logs[..., k] = log_scale + np.log(_gram_sigma_max(u00, u01, u10, u11))
     return logs
 
 

@@ -48,6 +48,53 @@ def batched_sigma_max(mats: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.5 * (g00 + g11) + rad, 0.0))
 
 
+def reference_spectral_norm_2x2(m) -> np.ndarray:
+    """Largest singular values of a stack (..., 2, 2) by the library's former
+    body: every matrix promoted to complex, pre-scaled by its largest entry,
+    and its Gram matrix formed by one einsum. The reference the real and
+    complex paths of ``spectral_norm_2x2`` are held to, bit for bit."""
+    a = np.asarray(m, dtype=complex)
+    scale = np.abs(a).max(axis=(-2, -1))
+    regular = (scale > 0.0) & np.isfinite(scale)
+    safe = np.where(regular, scale, 1.0)
+    a = np.where(regular[..., None, None], a, 0.0)
+    a = (a.real / safe[..., None, None]) + 1j * (a.imag / safe[..., None, None])
+    g = np.einsum("...ij,...ik->...jk", a.conj(), a)
+    g00, g11 = g[..., 0, 0].real, g[..., 1, 1].real
+    rad = np.hypot(0.5 * (g00 - g11), np.abs(g[..., 0, 1]))
+    lam_max = 0.5 * (g00 + g11) + rad
+    return np.where(regular, safe * np.sqrt(np.maximum(lam_max, 0.0)), scale)
+
+
+def reference_log_power_norms(mat, kmax: int) -> np.ndarray:
+    """log ||mat^k||_2 for k = 1..kmax by the library's former loop: one
+    einsum product of the whole (..., 2, 2) stack per step, renormalized by
+    each power's largest entry, and norms by ``reference_spectral_norm_2x2``.
+    The reference for the entrywise loop of ``momlab.verify.log_power_norms``."""
+    mat = np.asarray(mat)
+    u = np.broadcast_to(np.eye(2, dtype=np.result_type(mat.dtype, float)), mat.shape)
+    logs = np.empty((*mat.shape[:-2], kmax))
+    log_scale = np.zeros(mat.shape[:-2])
+    for k in range(kmax):
+        u = np.einsum("...ij,...jk->...ik", u, mat)
+        peak = np.abs(u).max(axis=(-2, -1))
+        peak = np.where(peak > 0.0, peak, 1.0)
+        u = u / peak[..., None, None]
+        log_scale = log_scale + np.log(peak)
+        with np.errstate(divide="ignore"):
+            logs[..., k] = log_scale + np.log(reference_spectral_norm_2x2(u))
+    return logs
+
+
+def reference_write_csv(path, header, rows) -> None:
+    """The CLI's former CSV writer: one ``format(float(v), ".17g")`` per value
+    and one write per row. The reference for the chunked writer's bytes."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+
+
 def reference_analysis(family: str, alpha_i: float, beta: float) -> SimpleNamespace:
     """One block's spectral data by the scalar formulas, point by point, in
     Python float and complex arithmetic: the reference for the library's

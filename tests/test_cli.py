@@ -7,9 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momlab.cli import _build_parser, _figure_rows, _figure_shape, main
+import momlab.errors
+from momlab.cli import (
+    FIGURE_IDS,
+    VERIFY_IDS,
+    _build_parser,
+    _figure_rows,
+    _figure_shape,
+    _write_csv,
+    main,
+)
 from momlab.errors import MAX_RUN_VALUES
+from momlab.methods import MethodKind, MethodParams, run
+from momlab.problems import make_diagonal_problem
 from momlab.verify import verify_norm_bound, verify_theorem
+
+from conftest import reference_write_csv
 
 
 def _read_csv(path):
@@ -724,3 +737,149 @@ def test_bad_cli_usage_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus-check"])
     assert exc.value.code == 3
+
+
+# ---------------------------------------------------------------------------
+# CSV writer: chunked ``%`` formatting against the former per-value writer
+
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan]),
+    st.integers(-(10**20), 10**20),
+)
+
+
+def _written_bytes(writer, path, header, rows):
+    writer(str(path), header, rows)
+    return path.read_bytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    table=st.integers(1, 5).flatmap(
+        lambda width: st.lists(st.lists(_CSV_VALUES, min_size=width, max_size=width), max_size=20)
+    )
+)
+def test_csv_writer_matches_the_per_value_writer(tmp_path_factory, table):
+    tmp = tmp_path_factory.mktemp("csv")
+    header = [f"c{j}" for j in range(len(table[0]) if table else 1)]
+    expected = _written_bytes(reference_write_csv, tmp / "ref.csv", header, table)
+    assert _written_bytes(_write_csv, tmp / "rows.csv", header, table) == expected
+    if table:
+        array = np.array(table, dtype=float)
+        assert _written_bytes(_write_csv, tmp / "array.csv", header, array) == expected
+
+
+@pytest.mark.parametrize("num_rows", [0, 1, 4095, 4096, 4097])
+def test_csv_writer_matches_the_per_value_writer_across_chunks(tmp_path, num_rows):
+    rng = np.random.default_rng(num_rows)
+    table = rng.standard_normal((num_rows, 3)) * 10.0 ** rng.integers(-300, 300, (num_rows, 3))
+    table[::97, 0] = np.arange(len(table[::97]))
+    header = ["k", "x", "y"]
+    expected = _written_bytes(reference_write_csv, tmp_path / "ref.csv", header, table.tolist())
+    assert expected.count(b"\n") == num_rows + 1
+    assert _written_bytes(_write_csv, tmp_path / "rows.csv", header, table.tolist()) == expected
+    assert _written_bytes(_write_csv, tmp_path / "array.csv", header, table) == expected
+
+
+def test_run_csv_matches_the_per_row_table(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, spectrum=[1.0, 3.0, 100.0], x0=[1.0, -2.0, 1e-300], num_steps=300)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    problem = make_diagonal_problem([1.0, 3.0, 100.0])
+    traj = run(problem, MethodParams(1.9 / 100.0, 0.85, MethodKind.HBM), [1.0, -2.0, 1e-300], 300)
+    dist, avg = traj.distances, traj.averaged_distances()
+    rows = [(k, dist[k], avg[k]) for k in range(301)]
+    reference_write_csv(str(tmp_path / "ref.csv"), ["k", "distance", "averaged_distance"], rows)
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("steps", [1, 2, 100, 400])
+def test_figure_fig1_matches_three_separate_runs(tmp_path, steps):
+    out = tmp_path / "fig1.csv"
+    assert main(["figure", "--figure", "fig1", "--steps", str(steps), "--out", str(out)]) == 0
+    problem = make_diagonal_problem([1.0, 100.0])
+    params = MethodParams(1.9 / 100.0, 0.85, MethodKind.HBM)
+    starts = ([0.01, 1.0], [1.0, 1.0], [100.0, 1.0])
+    trajs = [run(problem, params, x0, steps) for x0 in starts]
+    rows = [(k, *(t.distances[k] for t in trajs)) for k in range(steps + 1)]
+    header = ["k", "dist_x0_1", "dist_x0_2", "dist_x0_3"]
+    reference_write_csv(str(tmp_path / "ref.csv"), header, rows)
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz of ``figure`` and ``verify``
+
+_COUNT_TEXT = st.one_of(
+    st.integers(-3, 400).map(str),
+    st.integers(-(10**12), 10**12).map(str),
+    st.sampled_from(["0", "-0", "+5", "1e3", "3.5", "nan", "", " ", "٣", "0x10", "007"]),
+)
+_FLOAT_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(1.0, 1e4).map(repr),
+    st.floats(1e-12, 0.05).map(repr),
+    st.sampled_from(
+        ["28", "100", "1e6", "1e40", "1e-300", "0", "-0.0", "-1", "5e-324", "1e308", "x", ""]
+    ),
+)
+_FLOAT_LIST_TEXT = st.lists(_FLOAT_TEXT, min_size=0, max_size=4).map(",".join)
+
+
+def _option(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+@st.composite
+def _fuzzed_figure_verify_argv(draw):
+    if draw(st.booleans()):
+        figure = draw(st.one_of(st.sampled_from(FIGURE_IDS), st.text(max_size=5)))
+        argv = ["figure", *draw(_option("--figure", st.just(figure)))]
+        argv += draw(_option("--resolution", _COUNT_TEXT)) + draw(_option("--steps", _COUNT_TEXT))
+    else:
+        argv = ["verify", draw(st.one_of(st.sampled_from(VERIFY_IDS), st.text(max_size=5)))]
+        argv += draw(_option("--cond", _FLOAT_LIST_TEXT)) + draw(_option("--eps", _FLOAT_LIST_TEXT))
+        argv += draw(_option("--seeds", _COUNT_TEXT)) + draw(_option("--seed", _COUNT_TEXT))
+        argv += draw(_option("--steps", _COUNT_TEXT))
+    return argv
+
+
+@settings(deadline=None, max_examples=400)
+@given(argv=_fuzzed_figure_verify_argv())
+def test_figure_and_verify_argv_fuzz_exits_0_2_or_3_without_a_traceback(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("argv") / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # a small storage limit keeps every accepted op small and short
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(momlab.errors, "MAX_RUN_VALUES", 100_000)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([*argv, "--out", str(out)])
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    err = stderr.getvalue()
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 3:
+        assert err.endswith("\n") and "error: " in err.splitlines()[-1], (argv, err)
+    else:
+        assert err == "" and out.exists(), (argv, err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "thm1", "--cond", "0"], "--eps defaults to 1/max(--cond), undefined at"),
+        (["verify", "thm2", "--eps", "5e-324"], "budget sqrt(2c) ln(2/eps) is not finite at"),
+        (["params", "--cond", "100", "--eps", "5e-324"], "budget sqrt(2c) ln(2/eps) is not"),
+        (["verify", "thm1", "--cond", "1e308"], "cond_bar=1e+308 too large: the rule's beta"),
+        (["verify", "thm2", "--cond", "1.2e46"], "cond_bar=1.2e+46 too large: the rule's beta"),
+        (["params", "--cond", "1e40", "--eps", "1e-50"], "cond_bar=1e+40 too large: the rule's"),
+    ],
+)
+def test_argv_found_by_the_fuzz_exit_3_with_one_line(capsys, argv, message):
+    # formerly a ZeroDivisionError, an OverflowError and a ValueError traceback
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"momlab: error: {message}") and err.count("\n") == 1

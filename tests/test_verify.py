@@ -19,13 +19,23 @@ from momlab.spectral import (
     spectral_norm_2x2,
 )
 
-from conftest import batched_sigma_max, reference_theorem_lines
+from conftest import (
+    batched_sigma_max,
+    reference_log_power_norms,
+    reference_spectral_norm_2x2,
+    reference_theorem_lines,
+)
 
 # Last report lines of the per-point sweeps these replaced, on the default
 # 420-point grid.
 _GOLDEN_NORM_BOUND = {
     1: "norm-bound: grid=420 kmax=1 violations=0 max_norm_to_bound=0.567326 PASS",
+    2: "norm-bound: grid=420 kmax=2 violations=0 max_norm_to_bound=0.627503 PASS",
+    3: "norm-bound: grid=420 kmax=3 violations=0 max_norm_to_bound=0.627503 PASS",
+    57: "norm-bound: grid=420 kmax=57 violations=0 max_norm_to_bound=0.721169 PASS",
     58: "norm-bound: grid=420 kmax=58 violations=0 max_norm_to_bound=0.721382 PASS",
+    59: "norm-bound: grid=420 kmax=59 violations=0 max_norm_to_bound=0.721588 PASS",
+    60: "norm-bound: grid=420 kmax=60 violations=0 max_norm_to_bound=0.721787 PASS",
     200: "norm-bound: grid=420 kmax=200 violations=0 max_norm_to_bound=0.730125 PASS",
 }
 _GOLDEN_SCHUR = (
@@ -34,7 +44,7 @@ _GOLDEN_SCHUR = (
 )
 
 
-@pytest.mark.parametrize("kmax", [1, 58, 200])
+@pytest.mark.parametrize("kmax", sorted(_GOLDEN_NORM_BOUND))
 def test_sweep_reports_match_the_per_point_sweeps(kmax):
     norm_bound = verify.verify_norm_bound(kmax=kmax)
     assert norm_bound.passed and norm_bound.lines == [_GOLDEN_NORM_BOUND[kmax]]
@@ -188,6 +198,59 @@ def test_batched_log_power_norms_match_per_matrix_calls(fine_stacks):
         single = np.array([verify.log_power_norms(m, kmax) for m in sample])
         assert single.shape == (105, kmax) and (single == -np.inf).any()
         _assert_same_logs(logs, single, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["block", "R"])
+def test_entrywise_log_power_norms_match_the_einsum_loop(fine_stacks, which):
+    stack = fine_stacks[0] if which == "block" else fine_stacks[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the nilpotent (1.0, 0.0) is in the grid
+        logs = verify.log_power_norms(stack, 200)
+    expected = reference_log_power_norms(stack, 200)
+    assert (expected == -np.inf).any()
+    _assert_same_logs(logs, expected, atol=1e-12)
+
+
+def _random_real_matrices(count, seed):
+    """Random 2x2 matrices at scales 1e-300..1e300, with zero, subnormal and
+    non-finite ones mixed in."""
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((count, 2, 2)) * 10.0 ** rng.uniform(-300, 300, (count, 1, 1))
+    mats[::7] = rng.standard_normal((len(mats[::7]), 2, 2))
+    mats[::11, 1, 0] = 0.0
+    mats[::13] *= 1e-310
+    mats[5::1000] = 0.0
+    mats[6::1000, 0, 1] = np.inf
+    mats[7::1000, 1, 1] = np.nan
+    return mats
+
+
+def _same_bits(actual, expected):
+    return np.array_equal(np.asarray(actual).view(np.int64), np.asarray(expected).view(np.int64))
+
+
+def test_real_spectral_norm_2x2_is_the_former_norm_bit_for_bit(fine_stacks):
+    mats = _random_real_matrices(100_000, seed=3)
+    with np.errstate(invalid="ignore"):  # the inf and nan matrices
+        assert _same_bits(spectral_norm_2x2(mats), reference_spectral_norm_2x2(mats))
+    blocks = fine_stacks[0]
+    assert _same_bits(spectral_norm_2x2(blocks), reference_spectral_norm_2x2(blocks))
+    for mat in mats[:50]:
+        norm = spectral_norm_2x2(mat)
+        assert type(norm) is float and _same_bits(norm, reference_spectral_norm_2x2(mat))
+
+
+def test_complex_spectral_norm_2x2_is_within_one_ulp_of_the_former_norm(fine_grid):
+    factors = schur_factors(analyze_hbm(*np.array(fine_grid).T))
+    rng = np.random.default_rng(4)
+    scaled = (rng.standard_normal((20_000, 2, 2)) + 1j * rng.standard_normal((20_000, 2, 2)))
+    scaled *= 10.0 ** rng.uniform(-300, 300, (20_000, 1, 1))
+    for mats in (factors.T, factors.t_inverse(), factors.R, scaled):
+        ulps = np.abs(
+            spectral_norm_2x2(mats).view(np.int64)
+            - reference_spectral_norm_2x2(mats).view(np.int64)
+        )
+        assert ulps.max() <= 1
 
 
 @pytest.mark.parametrize("which", [1, 2])
