@@ -330,7 +330,7 @@ def _cmd_run(args) -> int:
         x0 = _as_vector(_convert("x0", cfg.x0, _floats), problem.dimension, "x0")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = run(problem, params, x0, num_steps)
+        traj = run(problem, params, x0, num_steps, history=False)
         dist, avg = traj.distances, traj.averaged_distances()
     finite = np.isfinite(dist) & np.isfinite(avg)
     if not finite.all():
@@ -377,7 +377,7 @@ def _figure_rows(figure_id: str, resolution: int, steps: int):
         params = MethodParams(1.9 / 100.0, 0.85, MethodKind.HBM)
         starts = np.array([[0.01, 1.0], [1.0, 1.0], [100.0, 1.0]])
         # one run of the three starts; column j is start j's own run, bit for bit
-        distances = run(problem, params, starts, steps).distances
+        distances = run(problem, params, starts, steps, history=False).distances
         header = ["k", "dist_x0_1", "dist_x0_2", "dist_x0_3"]
         return header, np.column_stack((np.arange(steps + 1), distances))
     if figure_id == "fig3":

@@ -83,6 +83,11 @@ class MethodParams:
             raise ValueError(f"beta must lie in [0, 1), got {bad}")
 
 
+# Steps per block of a history-free run: it holds _BLOCK_ROWS + 1 error rows
+# at a time, whatever the step count.
+_BLOCK_ROWS = 256
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A run's error coordinates z_k = Q(x_k - x*), k = 0..K, and what they
@@ -93,14 +98,31 @@ class Trajectory:
     adds a batch axis after the step axis: errors and iterates
     (K+1, batch, n), distances (K+1, batch), averaged_final (batch, n). Row j
     of each is the run from start j alone, bit for bit.
+
+    A history-free run (``run(..., history=False)``) keeps no z_k: it holds
+    its distances, averaged distances and last two error rows, bit for bit
+    those of the full run, and ``errors``, ``iterates`` and
+    ``averaged_iterate`` raise ValueError.
     """
 
-    errors: np.ndarray  # z_k, shape (K+1, n) or (K+1, batch, n)
+    history: np.ndarray | None  # z_k, shape (K+1, n) or (K+1, batch, n); None if history-free
     problem: QuadraticProblem
+    # a history-free run's (distances, averaged distances, z_{K-1} and z_K)
+    reduced: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @property
+    def errors(self) -> np.ndarray:
+        if self.history is None:
+            raise ValueError(
+                "a history-free run keeps no error history: errors, iterates and"
+                " averaged_iterate need run(..., history=True)"
+            )
+        return self.history
 
     @property
     def num_steps(self) -> int:
-        return self.errors.shape[0] - 1
+        rows = self.history if self.reduced is None else self.reduced[0]
+        return rows.shape[0] - 1
 
     @property
     def x_star(self) -> np.ndarray:
@@ -109,6 +131,8 @@ class Trajectory:
     @cached_property
     def distances(self) -> np.ndarray:
         """||x_k - x*||, shape (K+1,) or (K+1, batch)."""
+        if self.reduced is not None:
+            return self.reduced[0]
         return np.linalg.norm(self.errors, axis=-1)
 
     @cached_property
@@ -119,7 +143,8 @@ class Trajectory:
     @cached_property
     def averaged_final(self) -> np.ndarray:
         """(x_{K-1} + x_K) / 2, shape (n,) or (batch, n)."""
-        return _from_eigenbasis(self.problem, 0.5 * (self.errors[-2] + self.errors[-1]))
+        z = self.errors[-2:] if self.reduced is None else self.reduced[2]
+        return _from_eigenbasis(self.problem, 0.5 * (z[0] + z[1]))
 
     def averaged_iterate(self, k: int) -> np.ndarray:
         """(x_{k-1} + x_k)/2; equals x_0 at k = 0 by the x_{-1} := x_0 convention."""
@@ -129,12 +154,33 @@ class Trajectory:
 
     def averaged_distances(self) -> np.ndarray:
         """Distances of the averaged iterates, shaped like ``distances``."""
+        if self.reduced is not None:
+            return self.reduced[1].copy()
         z = self.errors
         d = np.linalg.norm(0.5 * (z[:-1] + z[1:]), axis=-1)
         return np.concatenate([self.distances[:1], d])
 
 
-def run(problem: QuadraticProblem, params: MethodParams, x0, num_steps: int) -> Trajectory:
+def _iterate(rows: np.ndarray, u_prev: np.ndarray, alpha, beta, d, accelerated: bool) -> np.ndarray:
+    """Fill rows[1:] from rows[0] in place, one step per row; ``u_prev`` is
+    u of the step before rows[0]. Returns u of the last step taken."""
+    for k in range(rows.shape[0] - 1):
+        z = rows[k]
+        y = z - alpha * (d * z)
+        u = y if accelerated else z
+        np.add(y, beta * (u - u_prev), out=rows[k + 1])
+        u_prev = u
+    return u_prev
+
+
+def run(
+    problem: QuadraticProblem,
+    params: MethodParams,
+    x0,
+    num_steps: int,
+    *,
+    history: bool = True,
+) -> Trajectory:
     """Iterate num_steps times from ``x0`` in the problem's eigenbasis.
 
     Per coordinate with curvature d, y_k = z_k - alpha*(d*z_k) is the
@@ -149,6 +195,12 @@ def run(problem: QuadraticProblem, params: MethodParams, x0, num_steps: int) -> 
     coordinate i its own rule: each coordinate evolves alone, so coordinate
     i of such a run equals, bit for bit, that of a run with the scalars
     alpha[i] and beta[i] at the same curvature d_i.
+
+    ``history=True`` stores every z_k, (K+1)*n values per start. With
+    ``history=False`` the run iterates blocks of ``_BLOCK_ROWS`` steps in
+    one reused buffer and reduces each block to its distances and averaged
+    distances, so it holds O(_BLOCK_ROWS*n + K) values per start. Every
+    reduction is per row, so the result is bit for bit that of the full run.
     """
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
@@ -159,20 +211,34 @@ def run(problem: QuadraticProblem, params: MethodParams, x0, num_steps: int) -> 
             raise DimensionMismatchError(f"params.{name} has shape {shape}, expected () or ({n},)")
     z0 = _to_eigenbasis(problem, _as_points(x0, n, "x0"))
     # operands at the error's shape, so no step broadcasts a scalar or a row
-    alpha, beta, d = (
+    operands = tuple(
         np.ascontiguousarray(np.broadcast_to(v, z0.shape))
         for v in (params.alpha, params.beta, problem.eigenvalues)
     )
     accelerated = params.kind in (MethodKind.NAG_TWO_SEQUENCE, MethodKind.NAG_COMPACT)
-    errors = np.empty((num_steps + 1, *z0.shape))
-    errors[0] = u_prev = z0
-    for k in range(num_steps):
-        z = errors[k]
-        y = z - alpha * (d * z)
-        u = y if accelerated else z
-        np.add(y, beta * (u - u_prev), out=errors[k + 1])
-        u_prev = u
-    return Trajectory(errors=errors, problem=problem)
+    if history:
+        errors = np.empty((num_steps + 1, *z0.shape))
+        errors[0] = z0
+        _iterate(errors, z0, *operands, accelerated)
+        return Trajectory(errors, problem)
+
+    rows = np.empty((min(num_steps, _BLOCK_ROWS) + 1, *z0.shape))
+    rows[0] = u_prev = z0
+    dist = np.empty((num_steps + 1, *z0.shape[:-1]))
+    avg = np.empty_like(dist)
+    dist[:1] = avg[:1] = np.linalg.norm(rows[:1], axis=-1)
+    for k in range(0, num_steps, _BLOCK_ROWS):
+        if k:
+            # the next block starts from this one's last row; a heavy-ball
+            # u_prev is a row of the buffer, so it is copied out first
+            u_prev = u_prev.copy()
+            rows[0] = rows[-1]
+        block = rows[: min(_BLOCK_ROWS, num_steps - k) + 1]
+        u_prev = _iterate(block, u_prev, *operands, accelerated)
+        r = block.shape[0] - 1
+        dist[k + 1 : k + r + 1] = np.linalg.norm(block[1:], axis=-1)
+        avg[k + 1 : k + r + 1] = np.linalg.norm(0.5 * (block[:-1] + block[1:]), axis=-1)
+    return Trajectory(None, problem, (dist, avg, block[-2:].copy()))
 
 
 def _require_cond(bounds: EigenBounds) -> float:

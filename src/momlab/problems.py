@@ -101,6 +101,12 @@ class EigenBounds:
             raise InvalidSpectrumError(
                 f"need 0 < lower <= upper < inf, got lower={self.lower}, upper={self.upper}"
             )
+        with np.errstate(over="ignore"):
+            ratio = self.upper / self.lower
+        if not np.isfinite(ratio):
+            raise InvalidSpectrumError(
+                f"upper/lower overflows float64 at lower={self.lower}, upper={self.upper}"
+            )
 
     @property
     def cond_bar(self) -> float:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momlab.errors
+import momlab.methods
 from momlab.cli import (
     FIGURE_IDS,
     VERIFY_IDS,
@@ -883,3 +885,94 @@ def test_argv_found_by_the_fuzz_exit_3_with_one_line(capsys, argv, message):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"momlab: error: {message}") and err.count("\n") == 1
+
+
+def test_params_refuses_bounds_whose_ratio_overflows(capsys):
+    # formerly reported as "cond_bar=inf too large: the rule's beta rounds to 1"
+    assert main(["params", "--lower", "1e-320", "--upper", "1", "--eps", "1e-3"]) == 3
+    assert capsys.readouterr().err == (
+        "momlab: error: upper/lower overflows float64 at lower=1e-320, upper=1.0\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz of ``params``
+
+
+@st.composite
+def _fuzzed_params_argv(draw):
+    bound = st.one_of(_FLOAT_TEXT, st.sampled_from(["1e-320", "2.2250738585072014e-308", "inf"]))
+    argv = ["params", *draw(_option("--cond", _FLOAT_LIST_TEXT))]
+    argv += draw(_option("--lower", bound)) + draw(_option("--upper", bound))
+    argv += draw(_option("--eps", _FLOAT_LIST_TEXT))
+    return argv
+
+
+@settings(deadline=None, max_examples=400)
+@given(argv=_fuzzed_params_argv())
+def test_params_argv_fuzz_exits_0_2_or_3_with_one_line(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    err = stderr.getvalue()
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 0:
+        assert err == "" and stdout.getvalue().count("\n") == 2, (argv, err)
+    else:
+        assert err.count("\n") == 1 and "error: " in err, (argv, err)
+
+
+# ---------------------------------------------------------------------------
+# history-free runs
+
+
+def test_run_names_the_step_of_a_first_non_finite_distance_on_a_block_boundary(
+    tmp_path, capsys, monkeypatch
+):
+    # the start of the boundary test in test_methods: step 13 is the first
+    # non-finite distance, and a block of 13 steps ends on it
+    problem = make_diagonal_problem([1.0, 100.0])
+    params = MethodParams(0.021, 0.99, MethodKind.HBM)
+    unit = run(problem, params, [0.0, 1.0], 40).distances
+    scale = np.sqrt(np.finfo(float).max) / np.sqrt(unit[13] * unit[:13].max())
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, params={"source": "explicit", "alpha": 0.021, "beta": 0.99},
+                  x0=[0.0, scale], num_steps=40)
+    messages = []
+    for block_rows in (momlab.methods._BLOCK_ROWS, 1, 12, 13, 14):
+        monkeypatch.setattr(momlab.methods, "_BLOCK_ROWS", block_rows)
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        messages.append(capsys.readouterr().err)
+    assert messages == [
+        "momlab: error: distance to the minimizer is not a finite float64 at step 13:"
+        " x0 or shift is too large\n"
+    ] * 5
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_run_memory_is_bounded_by_one_block_not_the_history(tmp_path, capsys):
+    n, steps = 400, 2000
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, spectrum=None, n=n, cond=1e4, spectrum_law="log-uniform",
+                  params={"source": "theorem1"}, x0="random-unit", num_steps=steps)
+    assert main(["run", "--config", str(cfg_path)]) == 0  # one-time imports and caches
+    tracemalloc.start()
+    try:
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # float64 arrays: the n x n diagonal Hessian; the (B+1, n) block buffer
+    # and at most five block-sized temporaries of its norms; eight arrays of
+    # K+1 values (distances, averaged distances, the CSV table). CSV text:
+    # under 256 bytes per row of Python floats and formatted text. 1 MB for
+    # everything of size O(n) or O(1). The (K+1, n) history alone is
+    # 6.4 MB, and a run that keeps it peaks near 21 MB.
+    values = n * n + 6 * (momlab.methods._BLOCK_ROWS + 1) * n + 8 * (steps + 1)
+    bound = 8 * values + 256 * (steps + 1) + 2**20
+    assert peak < bound, (peak, bound)
+    assert bound < 8 * (steps + 1) * n * 1.5

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momlab.methods
 from momlab.errors import DimensionMismatchError, PreconditionError
 from momlab.methods import (
     MethodKind,
@@ -268,6 +269,71 @@ def test_run_matches_dense_state_machines_bitwise_on_diagonal_problems(family, n
     other = MethodKind.MM if family == "hbm" else MethodKind.NAG_COMPACT
     twin = run(problem, MethodParams(params.alpha, params.beta, other), x0, 300)
     assert np.array_equal(twin.errors, got.errors)
+
+
+def _bits(a):
+    # raw bytes, so non-finite entries and the sign of zero compare too
+    return np.ascontiguousarray(a).tobytes()
+
+
+_B = momlab.methods._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("num_steps", [1, _B - 1, _B, _B + 1, 2 * _B + 1])
+@pytest.mark.parametrize("per_coordinate", [False, True], ids=["scalar", "per-coordinate"])
+@pytest.mark.parametrize("batch", [None, 3], ids=["single", "batch"])
+@pytest.mark.parametrize("kind", list(MethodKind), ids=lambda kind: kind.value)
+def test_history_free_run_equals_the_full_run_bitwise(kind, batch, per_coordinate, num_steps):
+    rng = np.random.default_rng(num_steps)
+    eig = np.geomspace(1.0, 100.0, 9)
+    problem = make_rotated_problem(eig, seed=2, shift=rng.standard_normal(9))
+    heavy_ball = kind in (MethodKind.MM, MethodKind.HBM)
+    alpha, beta = (0.019, 0.85) if heavy_ball else (0.01, 0.8)
+    if per_coordinate:
+        alpha = alpha * rng.uniform(0.5, 1.0, 9)
+        beta = rng.uniform(0.0, beta, 9)
+    params = MethodParams(alpha, beta, kind)
+    x0 = problem.x_star + rng.standard_normal((9,) if batch is None else (batch, 9))
+    full = run(problem, params, x0, num_steps)
+    free = run(problem, params, x0, num_steps, history=False)
+    assert free.num_steps == full.num_steps == num_steps
+    assert _bits(free.distances) == _bits(full.distances)
+    assert _bits(free.averaged_distances()) == _bits(full.averaged_distances())
+    assert _bits(free.averaged_final) == _bits(full.averaged_final)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 12, 13, 14])
+def test_history_free_run_is_bitwise_across_a_non_finite_block_boundary(monkeypatch, block_rows):
+    # a heavy-ball step past two grows the distance from rest to its first
+    # maximum at step 13; a start just below where that maximum overflows
+    # the norm makes step 13 the first non-finite distance
+    problem = make_diagonal_problem([1.0, 100.0])
+    params = MethodParams(0.021, 0.99, MethodKind.HBM)
+    unit = run(problem, params, [0.0, 1.0], 40).distances
+    assert int(np.argmax(unit)) == 13
+    scale = np.sqrt(np.finfo(float).max) / np.sqrt(unit[13] * unit[:13].max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = run(problem, params, [0.0, scale], 40)
+        monkeypatch.setattr(momlab.methods, "_BLOCK_ROWS", block_rows)
+        free = run(problem, params, [0.0, scale], 40, history=False)
+        full_avg, free_avg = full.averaged_distances(), free.averaged_distances()
+    assert np.isfinite(full.distances[:13]).all() and not np.isfinite(full.distances[13])
+    assert _bits(free.distances) == _bits(full.distances)
+    assert _bits(free_avg) == _bits(full_avg)
+    assert _bits(free.averaged_final) == _bits(full.averaged_final)
+
+
+def test_history_free_run_keeps_no_error_history():
+    traj = run(make_diagonal_problem([1.0, 100.0]), FIG1_PARAMS, [1.0, 1.0], 5, history=False)
+    assert traj.history is None
+    for read in (
+        lambda: traj.errors,
+        lambda: traj.iterates,
+        lambda: traj.averaged_iterate(0),
+        lambda: traj.averaged_iterate(3),
+    ):
+        with pytest.raises(ValueError, match="history-free run keeps no error history"):
+            read()
 
 
 @pytest.mark.parametrize("problem", _batch_problems(), ids=["diagonal-2", "rotated-50"])

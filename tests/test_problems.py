@@ -209,6 +209,14 @@ def test_eigen_bounds():
         EigenBounds(2.0, 1.0)
 
 
+def test_eigen_bounds_refuse_a_ratio_that_overflows():
+    with pytest.raises(InvalidSpectrumError, match=r"^upper/lower overflows float64 at lower=1e-320, upper=1.0$"):
+        EigenBounds(1e-320, 1.0)
+    with pytest.raises(InvalidSpectrumError, match="upper/lower overflows"):
+        EigenBounds(np.float64(1e-300), np.float64(1e10))
+    assert EigenBounds(1e-300, 1e8).cond_bar == 1e8 / 1e-300
+
+
 def test_problem_arrays_are_read_only():
     p = make_diagonal_problem([1, 100])
     with pytest.raises(ValueError):
