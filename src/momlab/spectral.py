@@ -16,8 +16,10 @@ part), and spectral radius
 
 The module also provides the eigenvector-basis condition number (which blows
 up at the double root), the well-conditioned Schur triangularization
-T R T^{-1} with cond(T) <= 3, exact powers of R and of the block itself via
-explicit cross sums, and the transient norm bound ||block^k|| <= 2 rho^{k-1} (k+1).
+T R T^{-1} with cond(T) <= 3, exact powers R^k (cumulative-product cross
+sums, O(k)) and block^k (the Chebyshev closed form in real arithmetic, O(1),
+kept in log magnitude so deep powers underflow to 0.0 rather than leave
+rounding residue), and the transient norm bound ||block^k|| <= 2 rho^{k-1} (k+1).
 
 The analysis, blocks, Schur factors, conditioning and ``double_root_beta`` take
 one point (Python scalars out) or broadcastable arrays of points (arrays and
@@ -241,6 +243,13 @@ def schur_factors(spec: BlockSpectrum) -> SchurFactors:
     return SchurFactors(T=t, R=r)
 
 
+def _require_point(spec: BlockSpectrum, name: str) -> None:
+    if isinstance(spec.beta_i, np.ndarray):
+        raise ValueError(
+            f"{name} takes one point, got a spectrum of shape {spec.beta_i.shape}"
+        )
+
+
 def _powers(lam: complex, count: int) -> np.ndarray:
     """[lam^0, ..., lam^{count-1}] by cumulative products."""
     factors = np.full(count, lam, dtype=complex)
@@ -260,7 +269,8 @@ def _cross_sum(lp: complex, lm: complex, k: int) -> complex:
 
 
 def r_power(spec: BlockSpectrum, k: int) -> np.ndarray:
-    """R^k = [[l_+^k, sum_{l=0}^{k-1} l_+^l l_-^{k-1-l}], [0, l_-^k]]."""
+    """R^k = [[l_+^k, sum_{l=0}^{k-1} l_+^l l_-^{k-1-l}], [0, l_-^k]], in O(k)."""
+    _require_point(spec, "r_power")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
@@ -269,32 +279,135 @@ def r_power(spec: BlockSpectrum, k: int) -> np.ndarray:
     return np.array([[lp**k, _cross_sum(lp, lm, k)], [0.0, lm**k]], dtype=complex)
 
 
-def block_power(spec: BlockSpectrum, k: int) -> np.ndarray:
-    """Closed-form block^k from the cross sums of the eigenvalues.
+# lambda_+ + lambda_- and lambda_+ * lambda_- must match the trace and the
+# determinant to this tolerance, relative to (1 + |l_+| + |l_-|)^2, for the
+# spectrum to belong to its block. The double-root snap l_+ = l_- = t/2 moves
+# the product by at most DOUBLE_ROOT_TOL / 4; a foreign eigenvalue pair by more.
+_EIGEN_TOL = 1e-10
 
-    block^k = [[p, q], [r, s]] with
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
+_SPLIT_MAX = 2.0**500  # past this the split overflows; t^2 dwarfs its rounding
 
-        p = -sum_{t=1}^{k-1} l_+^t l_-^{k-t}        q = sum_{l=0}^{k-1} l_+^l l_-^{k-1-l}
-        r = -sum_{t=0}^{k-1} l_+^{t+1} l_-^{k-t}    s = sum_{t=0}^{k}   l_+^t l_-^{k-t}
 
-    The entries are real for a real block; a residual imaginary part beyond
-    1e-10 raises InternalConsistencyError.
+def _discriminant(t: float, d: float) -> float:
+    """t^2 - 4d with t^2 = hi + lo split exactly (Dekker), so a discriminant
+    near zero keeps its relative accuracy instead of an error of eps * t^2."""
+    hi = t * t
+    lo = 0.0
+    if abs(t) < _SPLIT_MAX:
+        c = _SPLIT * t
+        th = c - (c - t)
+        tl = t - th
+        lo = ((th * th - hi) + 2.0 * th * tl) + tl * tl
+    return (hi - 4.0 * d) + lo
+
+
+def _log(x: float) -> float:
+    """log x for x >= 0, with log 0 = -inf."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _cross_sum_logs(t: float, d: float, js) -> list[tuple[float, float]]:
+    """(sign, log |S_j|) for each j >= 0 in ``js``, where S_j is the cross sum
+    sum_{l<j} l_+^l l_-^{j-1-l} of the block [[0, 1], [-d, t]]: S_0 = 0, S_1 = 1.
+
+    This is the Chebyshev form d^{(j-1)/2} U_{j-1}(t / 2 sqrt d). With the
+    symmetry U_{j-1}(-x) = (-1)^{j-1} U_{j-1}(x) it reads
+    S_j = sign(t)^{j-1} base^{j-1} ratio_j, by the sign of the discriminant:
+
+    * d = 0:         base |t|, ratio 1;
+    * zero:          base |t|/2, ratio j (the double root);
+    * negative:      base sqrt d, ratio sin(j theta) / sin(theta) with
+                     theta = arg(|t| + i sqrt(-disc)) in (0, pi/2];
+    * positive:      base the larger root magnitude, ratio (1 - q^j)/(1 - q)
+                     with q = sign(d) e^{-2 psi} the root ratio, through
+                     expm1/log1p so nothing cancels as psi -> 0.
+
+    |ratio_j| <= j, so only base^{j-1} can leave the float64 range, and it is
+    kept as a logarithm.
     """
+    disc = _discriminant(t, d)
+    at = abs(t)
+    if d == 0.0:
+        log_base = _log(at)
+        ratio = lambda j: 1.0
+    elif disc == 0.0:
+        log_base = math.log(0.5 * at)
+        ratio = lambda j: float(j)
+    elif disc < 0.0:
+        log_base = 0.5 * math.log(d)
+        theta = math.atan2(math.sqrt(-disc), at)
+        sin_theta = math.sin(theta)
+        ratio = lambda j: math.sin(j * theta) / sin_theta
+    else:
+        g = math.sqrt(disc)
+        big = 0.5 * (at + g)
+        small = abs(d) / big
+        # big - small is g for roots of one sign (d > 0), |t| for d < 0
+        two_psi = math.log1p((g if d > 0.0 else at) / small)
+        log_base = math.log(big)
+        if d > 0.0:
+            ratio = lambda j: math.expm1(-j * two_psi) / math.expm1(-two_psi)
+        else:
+            def ratio(j):
+                head = -math.expm1(-j * two_psi) if j % 2 == 0 else 1.0 + math.exp(-j * two_psi)
+                return head / (1.0 + math.exp(-two_psi))
+
+    sign = math.copysign(1.0, t)
+    out = []
+    for j in js:
+        if j <= 1:
+            out.append((1.0, 0.0 if j else -math.inf))
+            continue
+        r = ratio(j)
+        out.append(((sign if j % 2 == 0 else 1.0) * math.copysign(1.0, r), (j - 1) * log_base + _log(abs(r))))
+    return out
+
+
+def _signed_exp(sign: float, log: float) -> float:
+    """sign * e^log, rounding to 0.0 below the subnormals and to +-inf above
+    float64 (``math.exp`` raises there)."""
+    try:
+        return sign * math.exp(log)
+    except OverflowError:
+        return sign * math.inf
+
+
+def block_power(spec: BlockSpectrum, k: int) -> np.ndarray:
+    """Closed-form block^k in real arithmetic, at the same cost for every k.
+
+    With trace t, determinant d and the cross sums
+    S_j = sum_{l=0}^{j-1} l_+^l l_-^{j-1-l},
+
+        block^k = [[-d S_{k-1}, S_k], [-d S_k, S_{k+1}]].
+
+    Each S_j takes the Chebyshev form of its regime (``_cross_sum_logs``),
+    decided by a discriminant with an exact t^2, so a DOUBLE_ROOT spectrum
+    whose discriminant is not exactly zero still gets its true power. Entries
+    are kept as a sign and a logarithm and exponentiated only at the end: an
+    exact entry below the subnormal range comes back as 0.0, one above
+    float64 as a signed inf, never NaN. A spectrum whose eigenvalue sum or
+    product misses the trace or determinant (beyond _EIGEN_TOL) raises
+    InternalConsistencyError.
+    """
+    _require_point(spec, "block_power")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    t, d = spec.beta_i, spec.product
     lp, lm = spec.lambda_plus, spec.lambda_minus
-    prod = lp * lm
-    q = _cross_sum(lp, lm, k)
-    p = -prod * _cross_sum(lp, lm, k - 1)
-    r = -prod * q
-    s = _cross_sum(lp, lm, k + 1)
-    entries = np.array([[p, q], [r, s]], dtype=complex)
-    residual = float(np.abs(entries.imag).max())
-    if residual > 1e-10:
+    scale = 1.0 + abs(lp) + abs(lm)
+    residual = max(abs(lp + lm - t), abs(lp * lm - d))
+    if residual > _EIGEN_TOL * scale * scale:
         raise InternalConsistencyError(
-            f"block power has imaginary residual {residual:.3e} at k={k}"
+            f"eigenvalues {lp}, {lm} miss trace {t} / determinant {d} by {residual:.3e}"
         )
-    return entries.real.copy()
+    (s0, before), (s1, at_k), (s2, after) = _cross_sum_logs(t, d, (k - 1, k, k + 1))
+    neg = -math.copysign(1.0, d)
+    log_d = _log(abs(d))
+    return np.array([
+        [_signed_exp(neg * s0, log_d + before), _signed_exp(s1, at_k)],
+        [_signed_exp(neg * s1, log_d + at_k), _signed_exp(s2, after)],
+    ])
 
 
 def power_norm_bound(spec: BlockSpectrum, k: int) -> float:
