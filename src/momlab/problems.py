@@ -1,23 +1,22 @@
 """Strictly convex quadratic objectives with exact gradients and minimizers.
 
 A problem is f(x) = 1/2 x'Hx - b'x with H symmetric positive definite, so
-grad f(x) = Hx - b and the unique minimizer solves Hx* = b. Every problem
-carries its eigendecomposition H = Q' diag(eigenvalues) Q, in which
-:func:`momlab.methods.run` iterates. The builders start from an explicit
-positive spectrum -- either as a diagonal matrix or conjugated by a seeded
-random rotation from sign-fixed Householder QR -- and hand in that spectrum,
-the rotation and x* = shift exactly, so they need no factorization or
-solve. Arbitrary matrices are accepted through
-``QuadraticProblem.from_matrix``, which runs a Cholesky rejection test; it
-and direct construction take the eigendecomposition from LAPACK ``eigh``
-and the minimizer from a LAPACK solve.
+grad f(x) = Hx - b and the unique minimizer solves Hx* = b. A problem is its
+eigendecomposition H = Q' diag(eigenvalues) Q and its minimizer x*, the three
+arrays it stores; :func:`momlab.methods.run` iterates in that eigenbasis, and
+the dense ``hessian`` and ``linear_term`` are formed only when asked for.
+The builders hand in an explicit positive spectrum, x* = shift and either no
+rotation or a seeded one from sign-fixed Householder QR, so they need no
+factorization, solve or matrix product. ``QuadraticProblem.from_matrix``
+accepts an arbitrary matrix through one LAPACK ``eigh`` and one solve.
 
 Everything is dense, row-major float64, and immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,8 +118,8 @@ class EigenBounds:
         return cls(float(eig[0]), float(eig[-1]))
 
 
-def _require_finite(h: np.ndarray, b: np.ndarray) -> None:
-    if not (np.isfinite(h).all() and np.isfinite(b).all()):
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
         raise InvalidSpectrumError("hessian and linear_term must be finite")
 
 
@@ -133,97 +132,94 @@ def _require_nonsingular(eigenvalues: np.ndarray) -> None:
         )
 
 
+def _read_only(x) -> np.ndarray:
+    """``x`` as a read-only float array; a writable one is copied, not frozen."""
+    a = np.asarray(x, dtype=float)
+    return _frozen(a.copy()) if a.flags.writeable else a
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticProblem:
-    """f(x) = 1/2 x'Hx - b'x with H symmetric, stored with its
-    eigendecomposition H = Q' diag(eigenvalues) Q and its minimizer x*.
+    """f(x) = 1/2 x'Hx - b'x stored as its eigendecomposition
+    H = Q' diag(eigenvalues) Q and its minimizer x*, so that b = Hx*.
 
-    ``rotation`` is Q, or None when H is the diagonal matrix of
-    ``eigenvalues`` (Q = I). Both input arrays must be finite, and the
-    eigenvalues must pass the singularity test, which a rotation of the
-    problem does not change. Direct construction takes the eigenvalues and
-    Q from one LAPACK ``eigh`` and solves Hx* = b; ``make_diagonal_problem``
-    and ``make_rotated_problem`` hand in the exact ones and x* = shift. All
-    arrays are read-only.
+    ``rotation`` is Q, or None when H is diagonal (Q = I). The eigenvalues
+    must pass the singularity test, and b must be finite, which is checked as
+    Q'(eigenvalues * Qx*) in O(n^2) without forming H. ``hessian`` and
+    ``linear_term`` are formed on first access. All arrays are read-only.
     """
 
-    hessian: np.ndarray
-    linear_term: np.ndarray
-    x_star: np.ndarray = field(init=False, repr=False)
-    eigenvalues: np.ndarray = field(init=False, repr=False)
-    rotation: np.ndarray | None = field(init=False, repr=False)
+    eigenvalues: np.ndarray
+    rotation: np.ndarray | None
+    x_star: np.ndarray
 
     def __post_init__(self):
-        h = np.array(self.hessian, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise DimensionMismatchError(f"hessian must be square, got shape {h.shape}")
-        b = _as_vector(self.linear_term, h.shape[0], "linear_term")
+        eigenvalues = _read_only(_as_vector(self.eigenvalues, what="eigenvalues"))
+        n = eigenvalues.size
+        if n == 0:
+            raise DimensionMismatchError("eigenvalues must be non-empty")
+        x_star = _read_only(_as_vector(self.x_star, n, "x_star"))
+        q = None if self.rotation is None else _read_only(self.rotation)
+        if q is not None and q.shape != (n, n):
+            raise DimensionMismatchError(f"rotation has shape {q.shape}, expected {(n, n)}")
+        for name, value in (("eigenvalues", eigenvalues), ("rotation", q), ("x_star", x_star)):
+            object.__setattr__(self, name, value)
         with np.errstate(over="ignore", invalid="ignore"):
-            h = 0.5 * (h + h.T)  # store exactly symmetric
-        _require_finite(h, b)
-        eigenvalues, vectors = np.linalg.eigh(h)
+            b = eigenvalues * x_star if q is None else q.T @ (eigenvalues * (q @ x_star))
+        _require_finite(eigenvalues, b)  # an overflow of b is rejected as non-finite
         _require_nonsingular(eigenvalues)
-        try:
-            x_star = np.linalg.solve(h, b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"hessian is singular: {exc}") from exc
-        self._freeze(h, b, x_star, eigenvalues, vectors.T)
 
-    def _freeze(self, h, b, x_star, eigenvalues, rotation) -> None:
-        for name, value in (
-            ("hessian", h),
-            ("linear_term", b),
-            ("x_star", x_star),
-            ("eigenvalues", eigenvalues),
-            ("rotation", rotation),
-        ):
-            object.__setattr__(self, name, value if value is None else _frozen(value))
+    @functools.cached_property
+    def hessian(self) -> np.ndarray:
+        """H = Q' diag(eigenvalues) Q, formed on first access."""
+        d, q = self.eigenvalues, self.rotation
+        if q is None:
+            return _frozen(np.diag(d))
+        h = (q.T * d) @ q
+        return _frozen(0.5 * (h + h.T))  # exactly symmetric
+
+    @functools.cached_property
+    def linear_term(self) -> np.ndarray:
+        """b = H x*, formed on first access."""
+        return _frozen(self.hessian @ self.x_star)
 
     @property
     def dimension(self) -> int:
-        return self.linear_term.size
+        return self.eigenvalues.size
 
     @classmethod
     def from_matrix(cls, hessian, linear_term) -> "QuadraticProblem":
-        """Accept an arbitrary matrix after symmetry and definiteness checks."""
+        """Accept an arbitrary matrix after symmetry and definiteness checks:
+        one ``eigh`` decides singularity and definiteness, and the problem
+        keeps the symmetrized matrix and the given vector as its H and b."""
         h = np.array(hessian, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionMismatchError(f"hessian must be square, got shape {h.shape}")
         scale = max(float(np.abs(h).max()), 1.0)
         if np.abs(h - h.T).max() > 1e-12 * scale:
             raise ValueError("hessian is not symmetric")
+        b = np.array(_as_vector(linear_term, h.shape[0], "linear_term"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = 0.5 * (h + h.T)  # exactly symmetric
+        _require_finite(h, b)
+        eigenvalues, vectors = np.linalg.eigh(h)
+        _require_nonsingular(eigenvalues)
+        if eigenvalues[0] <= 0.0:
+            raise NotPositiveDefiniteError("hessian is not positive definite")
         try:
-            np.linalg.cholesky(0.5 * (h + h.T))
+            x_star = np.linalg.solve(h, b)
         except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("hessian is not positive definite") from exc
-        return cls(h, linear_term)
-
-
-def _from_eigendecomposition(
-    spectrum: DiagonalSpectrum, rotation: np.ndarray | None, shift: np.ndarray
-) -> QuadraticProblem:
-    """H = Q' diag(spectrum) Q (H diagonal when ``rotation`` is None) and
-    b = H @ shift, stored with the exact spectrum, Q and x* = shift."""
-    eigenvalues = spectrum.eigenvalues
-    with np.errstate(over="ignore", invalid="ignore"):
-        if rotation is None:
-            h = np.diag(eigenvalues)
-        else:
-            h = (rotation.T * eigenvalues) @ rotation  # Q' @ diag(eigenvalues) @ Q
-            h = 0.5 * (h + h.T)
-        b = h @ shift  # an overflow here is rejected as non-finite
-    _require_finite(h, b)
-    _require_nonsingular(eigenvalues)
-    problem = object.__new__(QuadraticProblem)
-    problem._freeze(h, b, shift.copy(), eigenvalues, rotation)
-    return problem
+            raise SingularMatrixError(f"hessian is singular: {exc}") from exc
+        problem = cls(_frozen(eigenvalues), _frozen(vectors.T), _frozen(x_star))
+        problem.__dict__.update(hessian=_frozen(h), linear_term=_frozen(b))  # the cached values
+        return problem
 
 
 def make_diagonal_problem(spectrum) -> QuadraticProblem:
     """Diagonal problem H = diag(spectrum), b = 0; the minimizer is the origin."""
     if not isinstance(spectrum, DiagonalSpectrum):
         spectrum = DiagonalSpectrum(spectrum)
-    return _from_eigendecomposition(spectrum, None, np.zeros(spectrum.n))
+    return QuadraticProblem(spectrum.eigenvalues, None, _frozen(np.zeros(spectrum.n)))
 
 
 def random_orthogonal(n: int, seed: int) -> np.ndarray:
@@ -245,8 +241,8 @@ def make_rotated_problem(spectrum, seed: int, shift) -> QuadraticProblem:
     """Rotated-and-shifted problem H = Q'DQ, b = H @ shift, so x* = shift."""
     if not isinstance(spectrum, DiagonalSpectrum):
         spectrum = DiagonalSpectrum(spectrum)
-    shift = _as_vector(shift, spectrum.n, "shift")
-    return _from_eigendecomposition(spectrum, random_orthogonal(spectrum.n, seed), shift)
+    rotation = _frozen(random_orthogonal(spectrum.n, seed))
+    return QuadraticProblem(spectrum.eigenvalues, rotation, _as_vector(shift, spectrum.n, "shift"))
 
 
 def gradient(problem: QuadraticProblem, x) -> np.ndarray:

@@ -146,7 +146,7 @@ def verify_theorem(
 
     m, num_steps = len(pairs), max(pair[-1] for pair in pairs)
     require_storable(
-        max((num_steps + 1) * num_seeds * 2 * m, (2 * m) ** 2),
+        (num_steps + 1) * num_seeds * 2 * m,
         f"{label} run of K={num_steps} steps at seeds={num_seeds} pairs={m}",
     )
     curvatures = [1.0] * m + [cond for _, cond, *_ in pairs]

@@ -37,6 +37,19 @@ def gram_schmidt_orthogonal(n: int, seed: int) -> np.ndarray:
     return q
 
 
+def reference_problem_arrays(eigenvalues, rotation, x_star):
+    """(H, b) of a problem by the library's former eager formulas: the
+    diagonal matrix of the eigenvalues, or Q' diag(eigenvalues) Q
+    symmetrized as 0.5 (H + H'), and b = H @ x*. The reference for the
+    lazily formed ``hessian`` and ``linear_term``, byte for byte."""
+    if rotation is None:
+        h = np.diag(eigenvalues)
+    else:
+        h = (rotation.T * eigenvalues) @ rotation
+        h = 0.5 * (h + h.T)
+    return h, h @ x_star
+
+
 def batched_sigma_max(mats: np.ndarray) -> np.ndarray:
     """Largest singular values of a stack (..., 2, 2), re-derived from the
     Gram matrix so it is independent of the library implementation."""

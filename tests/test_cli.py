@@ -21,7 +21,7 @@ from momlab.cli import (
 )
 from momlab.errors import MAX_RUN_VALUES
 from momlab.methods import MethodKind, MethodParams, run
-from momlab.problems import make_diagonal_problem
+from momlab.problems import make_diagonal_problem, make_rotated_problem
 from momlab.verify import verify_norm_bound, verify_theorem
 
 from conftest import reference_write_csv
@@ -436,7 +436,7 @@ def test_run_refuses_a_rotation_too_large_to_store(tmp_path, capsys, monkeypatch
 def test_run_out_of_memory_exits_3_without_a_traceback(
     tmp_path, capsys, monkeypatch, detail, message
 ):
-    # n = 200000 passes the run guard, but its diagonal Hessian would hold n^2 values
+    # a builder whose allocation fails stands in for any MemoryError inside a command
     import momlab.cli
 
     def out_of_memory(spectrum):
@@ -966,13 +966,47 @@ def test_run_memory_is_bounded_by_one_block_not_the_history(tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # float64 arrays: the n x n diagonal Hessian; the (B+1, n) block buffer
-    # and at most five block-sized temporaries of its norms; eight arrays of
-    # K+1 values (distances, averaged distances, the CSV table). CSV text:
-    # under 256 bytes per row of Python floats and formatted text. 1 MB for
-    # everything of size O(n) or O(1). The (K+1, n) history alone is
-    # 6.4 MB, and a run that keeps it peaks near 21 MB.
-    values = n * n + 6 * (momlab.methods._BLOCK_ROWS + 1) * n + 8 * (steps + 1)
+    # float64 arrays: the (B+1, n) block buffer and at most five block-sized
+    # temporaries of its norms; eight arrays of K+1 values (distances,
+    # averaged distances, the CSV table). CSV text: under 256 bytes per row
+    # of Python floats and formatted text. 1 MB for everything of size O(n)
+    # or O(1). The (K+1, n) history alone is 6.4 MB, and a run that keeps it
+    # peaks near 21 MB.
+    values = 6 * (momlab.methods._BLOCK_ROWS + 1) * n + 8 * (steps + 1)
     bound = 8 * values + 256 * (steps + 1) + 2**20
     assert peak < bound, (peak, bound)
     assert bound < 8 * (steps + 1) * n * 1.5
+
+
+def test_diagonal_run_forms_no_n_by_n_array(tmp_path, capsys):
+    # (K+1) * n = 8,000 values; a dense 4,000 x 4,000 Hessian would be 128 MB
+    n = 4000
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, spectrum=None, n=n, cond=1e4, spectrum_law="log-uniform",
+                  params={"source": "theorem1"}, x0="random-unit", num_steps=1)
+    tracemalloc.start()
+    try:
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 16, peak
+
+
+def test_rotated_run_leaves_hessian_and_linear_term_unformed(tmp_path, monkeypatch):
+    import momlab.cli
+
+    built = []
+
+    def recording(*args):
+        built.append(make_rotated_problem(*args))
+        return built[-1]
+
+    monkeypatch.setattr(momlab.cli, "make_rotated_problem", recording)
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, spectrum=None, n=50, cond=1e3, spectrum_law="log-uniform",
+                  rotate=True, shift=[0.5] * 50, params={"source": "theorem2"}, method="nag",
+                  x0="random-unit", num_steps=40)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    (problem,) = built
+    assert "hessian" not in problem.__dict__ and "linear_term" not in problem.__dict__

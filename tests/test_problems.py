@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from conftest import gram_schmidt_orthogonal
+from conftest import gram_schmidt_orthogonal, reference_problem_arrays
 
 from momlab.errors import (
     DimensionMismatchError,
@@ -92,13 +93,13 @@ def test_gradient_dimension_mismatch():
 
 
 def test_minimizer_with_linear_term():
-    p = QuadraticProblem(np.array([[1.0]]), np.array([5.0]))
+    p = QuadraticProblem.from_matrix(np.array([[1.0]]), np.array([5.0]))
     assert np.array_equal(minimizer(p), [5.0])
 
 
 def test_singular_hessian_rejected():
     with pytest.raises(SingularMatrixError):
-        QuadraticProblem(np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros(2))
+        QuadraticProblem.from_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros(2))
 
 
 @pytest.mark.parametrize("rotate", [False, True])
@@ -118,7 +119,7 @@ def test_singularity_test_is_rotation_invariant(rotate):
 
 def test_nearly_singular_dense_hessian_rejected():
     with pytest.raises(SingularMatrixError):
-        QuadraticProblem(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]), np.zeros(2))
+        QuadraticProblem.from_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]), np.zeros(2))
 
 
 def test_gershgorin_examples():
@@ -230,7 +231,7 @@ def test_problem_arrays_are_read_only():
     for name in ("hessian", "linear_term", "x_star", "eigenvalues", "rotation"):
         with pytest.raises(ValueError):
             getattr(rotated, name)[0] = 7.0
-    direct = QuadraticProblem(np.array([[2.0, 1.0], [1.0, 3.0]]), np.ones(2))
+    direct = QuadraticProblem.from_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]), np.ones(2))
     for name in ("hessian", "linear_term", "x_star", "eigenvalues", "rotation"):
         with pytest.raises(ValueError):
             getattr(direct, name)[0] = 7.0
@@ -252,3 +253,65 @@ def test_problems_carry_their_eigendecomposition():
         q = p.rotation
         assert np.abs(q.T @ np.diag(p.eigenvalues) @ q - p.hessian).max() <= 1e-12 * 100.0
     assert np.allclose(direct.eigenvalues, spectrum, rtol=1e-12)
+
+
+def test_a_problem_stores_only_its_eigendecomposition_and_minimizer():
+    names = [f.name for f in dataclasses.fields(QuadraticProblem)]
+    assert names == ["eigenvalues", "rotation", "x_star"]
+    for p in (make_diagonal_problem([1, 100]), make_rotated_problem([1, 100], 3, [1.0, 2.0])):
+        assert "hessian" not in vars(p) and "linear_term" not in vars(p)
+        assert p.dimension == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.hessian = np.eye(2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 60])
+@pytest.mark.parametrize("build", ["diagonal", "diagonal-shifted", "rotated", "rotated-shifted"])
+def test_hessian_and_linear_term_are_the_eager_formulas_bit_for_bit(n, build):
+    spectrum = np.geomspace(1.0, 1e3, n)
+    shift = 3.0 * np.sin(np.arange(1.0, n + 1.0)) if build.endswith("shifted") else np.zeros(n)
+    if build == "diagonal":
+        p = make_diagonal_problem(spectrum)
+    elif build == "diagonal-shifted":
+        p = QuadraticProblem(spectrum, None, shift)
+    else:
+        p = make_rotated_problem(spectrum, seed=n + 5, shift=shift)
+    h, b = reference_problem_arrays(p.eigenvalues, p.rotation, shift)
+    for got, want in ((p.hessian, h), (p.linear_term, b)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert p.hessian is p.hessian and p.linear_term is p.linear_term  # formed once
+
+
+def test_from_matrix_keeps_the_symmetrized_matrix_and_the_given_vector():
+    h = np.array([[2.0, 1.0 + 2e-16], [1.0, 3.0]])  # symmetric within the tolerance
+    b = np.array([1.0, -2.0])
+    p = QuadraticProblem.from_matrix(h, b)
+    assert p.hessian.tobytes() == (0.5 * (h + h.T)).tobytes()
+    assert p.linear_term.tobytes() == b.tobytes()
+    assert b.flags.writeable and h.flags.writeable  # the caller's arrays stay theirs
+    from_lists = QuadraticProblem.from_matrix(h.tolist(), b.tolist())
+    assert from_lists.hessian.tobytes() == p.hessian.tobytes()
+
+
+def test_direct_construction_validates_its_three_arrays():
+    q = random_orthogonal(3, 1)
+    with pytest.raises(DimensionMismatchError, match="rotation has shape"):
+        QuadraticProblem([1.0, 2.0, 3.0], q[:2], np.zeros(3))
+    with pytest.raises(DimensionMismatchError, match="x_star has length 2"):
+        QuadraticProblem([1.0, 2.0, 3.0], q, np.zeros(2))
+    with pytest.raises(DimensionMismatchError, match="non-empty"):
+        QuadraticProblem([], None, [])
+    with pytest.raises(SingularMatrixError):
+        QuadraticProblem([1.0, 1e13], None, np.zeros(2))
+    # b = Q'(d * Q x*) overflows without forming H: [nan, inf, nan] here
+    with pytest.raises(InvalidSpectrumError, match="must be finite"):
+        QuadraticProblem(np.geomspace(1.0, 100.0, 3), random_orthogonal(3, 2), [1e308] * 3)
+    with pytest.raises(InvalidSpectrumError, match="must be finite"):
+        QuadraticProblem([1.0, np.inf], None, np.zeros(2))
+    # the caller's arrays are copied, not frozen
+    d, x = np.array([1.0, 2.0, 3.0]), np.ones(3)
+    p = QuadraticProblem(d, q, x)
+    d[0] = x[0] = q[0, 0] = 7.0
+    assert p.eigenvalues[0] == 1.0 and p.x_star[0] == 1.0 and p.rotation[0, 0] != 7.0
