@@ -108,6 +108,18 @@ def reference_write_csv(path, header, rows) -> None:
             fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
 
 
+def reference_chunked_write_csv(path, header, rows) -> None:
+    """The CLI's former chunked CSV writer: every cell of a chunk of at most
+    4,096 rows passed as a float to one ``%`` of ``%.17g`` fields. The
+    reference for the memory the writer holds on a table of distinct values."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), 4096):
+            chunk = np.asarray(rows[start : start + 4096], dtype=float)
+            line = ",".join(["%.17g"] * chunk.shape[1]) + "\n"
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
 def reference_analysis(family: str, alpha_i: float, beta: float) -> SimpleNamespace:
     """One block's spectral data by the scalar formulas, point by point, in
     Python float and complex arithmetic: the reference for the library's

@@ -16,6 +16,7 @@ from momlab.cli import (
     _build_parser,
     _figure_rows,
     _figure_shape,
+    _repeated_texts,
     _write_csv,
     main,
 )
@@ -24,7 +25,7 @@ from momlab.methods import MethodKind, MethodParams, run
 from momlab.problems import make_diagonal_problem, make_rotated_problem
 from momlab.verify import verify_norm_bound, verify_theorem
 
-from conftest import reference_write_csv
+from conftest import reference_chunked_write_csv, reference_write_csv
 
 
 def _read_csv(path):
@@ -756,10 +757,21 @@ def _written_bytes(writer, path, header, rows):
     return path.read_bytes()
 
 
+def _tables(cells):
+    """Tables of 1-5 columns and up to 20 rows whose cells ``cells`` draws."""
+    return st.integers(1, 5).flatmap(
+        lambda width: st.lists(st.lists(cells, min_size=width, max_size=width), max_size=20)
+    )
+
+
 @settings(deadline=None, max_examples=200)
 @given(
-    table=st.integers(1, 5).flatmap(
-        lambda width: st.lists(st.lists(_CSV_VALUES, min_size=width, max_size=width), max_size=20)
+    table=st.one_of(
+        _tables(_CSV_VALUES),
+        # cells from a pool of 1-4 values: columns that repeat their values
+        st.lists(_CSV_VALUES, min_size=1, max_size=4).flatmap(
+            lambda pool: _tables(st.sampled_from(pool))
+        ),
     )
 )
 def test_csv_writer_matches_the_per_value_writer(tmp_path_factory, table):
@@ -782,6 +794,98 @@ def test_csv_writer_matches_the_per_value_writer_across_chunks(tmp_path, num_row
     assert expected.count(b"\n") == num_rows + 1
     assert _written_bytes(_write_csv, tmp_path / "rows.csv", header, table.tolist()) == expected
     assert _written_bytes(_write_csv, tmp_path / "array.csv", header, table) == expected
+
+
+def _distinct(column):
+    return len(np.unique(column.view(np.int64)))
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 200, 205])
+@pytest.mark.parametrize("figure_id", ["fig2", "fig3", "fig4-left", "fig5-analogue"])
+def test_csv_writer_matches_the_per_value_writer_on_figure_tables(tmp_path, figure_id, resolution):
+    header, rows = _figure_rows(figure_id, resolution, 100)
+    if resolution == 205 and figure_id != "fig3":
+        # 4,100 rows: the chunk boundary splits the last alpha_i block
+        assert len(rows) == 4100 and rows[4095, 0] == rows[4096, 0]
+    expected = _written_bytes(reference_write_csv, tmp_path / "ref.csv", header, rows)
+    assert _written_bytes(_write_csv, tmp_path / "out.csv", header, rows) == expected
+
+
+@pytest.mark.parametrize(
+    "figure_id, formatted, distinct",
+    [("fig2", 915, 714), ("fig4-left", 4420, 3405), ("fig5-analogue", 4420, 3280)],
+)
+def test_grid_figures_format_each_repeated_value_once(figure_id, formatted, distinct):
+    _, rows = _figure_rows(figure_id, 200, 100)
+    assert rows.shape == (4000, 3)
+    assert sum(_distinct(column) for column in rows.T) == distinct
+    # a repeating column: one text per distinct value and one per zero cell
+    # (200 beta = 0 cells in each figure); a value column with more than
+    # 2,000 distinct values is formatted cell by cell
+    cells = [
+        len(set(c.tolist())) + np.count_nonzero(c == 0.0) if _repeated_texts(c) else len(c)
+        for c in rows.T
+    ]
+    assert sum(cells) == formatted
+
+
+def test_csv_writer_splices_the_texts_of_repeating_columns(tmp_path, monkeypatch):
+    import momlab.cli
+
+    def marked(column):
+        return ["x"] * len(column) if column[0] == 1.0 else None
+
+    monkeypatch.setattr(momlab.cli, "_repeated_texts", marked)
+    _write_csv(str(tmp_path / "out.csv"), ["a", "b"], [[1.0, 2.0], [1.0, 3.0]])
+    assert (tmp_path / "out.csv").read_text() == "a,b\nx,2\nx,3\n"
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(float)[0]
+
+
+def test_csv_writer_matches_the_per_value_writer_on_repeating_special_values(tmp_path):
+    nans = [_nan(0x7FF8000000000000), _nan(0x7FF8000000000001), _nan(0xFFF8000000000000),
+            _nan(0x7FF0000000000001)]
+    assert _distinct(np.array(nans)) == 4
+    columns = {  # 16 rows each
+        "zeros": [0.0, -0.0] * 8,
+        "nans": nans + [2.0, 1.0] * 6,
+        "infs": [np.inf, -np.inf, np.inf, np.inf] * 4,
+        "tiny_huge": [5e-324, 1e308, -5e-324, -1e308] * 4,
+        "at_threshold": [float(i % 8) for i in range(16)],  # 8 distinct values
+        "past_threshold": [float(i % 9) for i in range(16)],  # 9 distinct values
+    }
+    table = np.column_stack(list(columns.values()))
+    repeating = [name for name, column in zip(columns, table.T) if _repeated_texts(column)]
+    assert repeating == list(columns)[:-1]
+    header = list(columns)
+    expected = _written_bytes(reference_write_csv, tmp_path / "ref.csv", header, table)
+    assert expected.startswith(b"zeros,nans,infs,tiny_huge,at_threshold,past_threshold\n0,nan,inf,")
+    assert b"\n-0,nan,-inf,1e+308," in expected and b",-4.9406564584124654e-324," in expected
+    assert _written_bytes(_write_csv, tmp_path / "array.csv", header, table) == expected
+    assert _written_bytes(_write_csv, tmp_path / "rows.csv", header, table.tolist()) == expected
+
+
+def _csv_peak(writer, path, header, table):
+    writer(str(path), header, table)  # one-time imports and caches
+    tracemalloc.start()
+    try:
+        writer(str(path), header, table)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writer_holds_no_more_than_the_former_writer_on_distinct_values(tmp_path):
+    rng = np.random.default_rng(0)
+    table = np.column_stack((np.arange(4096), rng.standard_normal((4096, 2))))
+    assert not any(_repeated_texts(column) for column in table.T)
+    header = ["k", "distance", "averaged_distance"]
+    reference = _csv_peak(reference_chunked_write_csv, tmp_path / "ref.csv", header, table)
+    peak = _csv_peak(_write_csv, tmp_path / "out.csv", header, table)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert peak <= 1.05 * reference, (peak, reference)
 
 
 def test_run_csv_matches_the_per_row_table(tmp_path):
