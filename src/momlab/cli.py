@@ -31,6 +31,7 @@ from .errors import (
     require_storable,
 )
 from .methods import (
+    ACCELERATED_KINDS,
     MethodKind,
     MethodParams,
     run,
@@ -299,7 +300,7 @@ def _predicted_rho(params: MethodParams, bounds: EigenBounds) -> float:
     families, so the two ends alpha*lower and alpha*upper decide it.
     """
     ends = params.alpha * np.array([bounds.lower, bounds.upper])
-    if params.kind in (MethodKind.NAG_TWO_SEQUENCE, MethodKind.NAG_COMPACT):
+    if params.kind in ACCELERATED_KINDS:
         return float(analyze_nag(ends, params.beta).rho.max())
     with warnings.catch_warnings():
         # the heavy-ball block is defined past alpha_i = 2; its rho decides
@@ -321,14 +322,10 @@ def _cmd_run(args) -> int:
 
     spectrum = _spectrum_from_config(cfg)
     bounds = EigenBounds.from_spectrum(spectrum)
-    if cfg.source == "theorem1":
-        params = theorem1_params(bounds)
-        if cfg.method == "mm":
-            params = MethodParams(params.alpha, params.beta, MethodKind.MM)
-    elif cfg.source == "theorem2":
-        params = theorem2_params(bounds)
-        if cfg.method == "nag-compact":
-            params = MethodParams(params.alpha, params.beta, MethodKind.NAG_COMPACT)
+    if cfg.source in ("theorem1", "theorem2"):
+        params = (theorem1_params if cfg.source == "theorem1" else theorem2_params)(bounds)
+        if cfg.method is not None:  # the rule's family, in the configured form
+            params = MethodParams(params.alpha, params.beta, _METHOD_NAMES[cfg.method])
     else:
         try:
             params = MethodParams(float(cfg.alpha), float(cfg.beta), _METHOD_NAMES[cfg.method])

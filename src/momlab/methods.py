@@ -61,6 +61,9 @@ class MethodKind(enum.Enum):
     NAG_COMPACT = "nag-compact"
 
 
+ACCELERATED_KINDS = frozenset({MethodKind.NAG_TWO_SEQUENCE, MethodKind.NAG_COMPACT})
+
+
 @dataclass(frozen=True)
 class MethodParams:
     """Step length alpha > 0, momentum beta in [0, 1), and the iteration kind.
@@ -215,7 +218,7 @@ def run(
         np.ascontiguousarray(np.broadcast_to(v, z0.shape))
         for v in (params.alpha, params.beta, problem.eigenvalues)
     )
-    accelerated = params.kind in (MethodKind.NAG_TWO_SEQUENCE, MethodKind.NAG_COMPACT)
+    accelerated = params.kind in ACCELERATED_KINDS
     if history:
         errors = np.empty((num_steps + 1, *z0.shape))
         errors[0] = z0

@@ -499,24 +499,15 @@ def snapped_double_root(alpha_i: float) -> tuple[float, float]:
     return s * s, lam * lam
 
 
-def parameter_grid(
-    alpha_step: float = 0.05,
-    alpha_max: float = ALPHA_I_MAX,
-    betas=None,
-    include_double_root: bool = True,
-) -> list[tuple[float, float]]:
+def parameter_grid(alpha_step: float = 0.05) -> list[tuple[float, float]]:
     """(alpha_i, beta) sweep covering all three eigenvalue regimes.
 
-    alpha_i runs over {alpha_step * j} up to alpha_max (never past it), beta over
-    {0, 0.05, ..., 0.95} by default; with ``include_double_root`` snapped
-    points on the double-root curve beta = (1 - sqrt(alpha_i))^2 are
-    appended.
+    alpha_i runs over {alpha_step * j} up to ALPHA_I_MAX (never past it), beta
+    over {0, 0.05, ..., 0.95}; the snapped points on the double-root curve
+    beta = (1 - sqrt(alpha_i))^2 are appended.
     """
-    count = math.floor(alpha_max / alpha_step + _INTEGER_GUARD)
+    count = math.floor(ALPHA_I_MAX / alpha_step + _INTEGER_GUARD)
     alphas = [alpha_step * j for j in range(1, count + 1)]
-    if betas is None:
-        betas = _GRID_BETAS
-    grid = [(a, b) for a in alphas for b in betas]
-    if include_double_root:
-        grid.extend(snapped_double_root(a) for a in alphas)
+    grid = [(a, b) for a in alphas for b in _GRID_BETAS]
+    grid.extend(snapped_double_root(a) for a in alphas)
     return grid

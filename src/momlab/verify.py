@@ -5,7 +5,8 @@ returns a report object with per-cell lines (sorted by cell key, so output
 is deterministic) and an overall pass flag. A theorem check iterates all
 its (cond, eps) pairs and seeds in one run: each pair is two coordinates
 {1, cond} of one diagonal problem with the pair's own per-coordinate
-parameters, and reads its ratios at its own budget. The norm-bound and
+parameters. One array index reads every pair's last two rows at its own
+budget, and one batched 2-norm gives every ratio. The norm-bound and
 Schur sweeps analyse the whole grid in one array call, power its block or
 Schur stack in one scale-tracked loop over the stack's four entry arrays,
 and compare every (point, k) against its bound as one array expression;
@@ -15,6 +16,7 @@ an array of more than ``MAX_RUN_VALUES`` values.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -38,7 +40,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "TheoremCase",
     "SweepReport",
     "verify_theorem",
     "verify_norm_bound",
@@ -66,26 +67,6 @@ def thread_cap() -> int:
 
 
 @dataclass(frozen=True)
-class TheoremCase:
-    cond: float
-    eps: float
-    seed_index: int
-    budget: int
-    ratio: float
-
-    @property
-    def passed(self) -> bool:
-        return self.ratio <= self.eps
-
-    def line(self, label: str) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{label} cond={self.cond:g} eps={self.eps:g} seed={self.seed_index}"
-            f" K={self.budget} ratio={self.ratio:.6e} {status}"
-        )
-
-
-@dataclass(frozen=True)
 class SweepReport:
     label: str
     passed: bool
@@ -101,6 +82,11 @@ def _unit_start(dimension: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Last-axis 2-norms, each bit for bit ``np.linalg.norm`` of its row (same dot kernel)."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0, 0]
+
+
 def verify_theorem(
     which: int,
     conds,
@@ -114,15 +100,16 @@ def verify_theorem(
     For every (cond, eps, seed) cell: run the method with its fixed-parameter
     rule for the computed budget K from a seeded unit-norm start and check
     ||(x_{K-1}+x_K)/2 - x*|| <= eps * ||x_0 - x*|| with no slack.
-    Precondition violations (cond < 28, eps > 1/cond) raise before any cell
-    runs, and so does a run too large to store (``MAX_RUN_VALUES``).
+    Precondition violations (cond < 28, eps > 1/cond; each cond's rule before
+    its budgets) raise before any cell runs, and so does a run too large to
+    store (``MAX_RUN_VALUES``).
 
     All m (cond, eps) pairs run as one problem in one ``run`` call: pair j's
-    spectrum {1, c} sits at coordinates j and m + j, each with the pair's own
-    per-coordinate alpha and beta, and its seeds' starts fill those two
-    columns of one (seeds, 2m) stack. The run goes to the largest K, and
-    pair j reads its ratio at its own K, bit for bit the ratio of its own
-    (seeds, 2) run.
+    spectrum {1, c} sits at coordinates j and m + j with the pair's own alpha
+    and beta, and its seeds' starts fill those two columns of one (seeds, 2m)
+    stack. The run goes to the largest K. One index reads rows K_j - 1 and
+    K_j of every pair, and one batched 2-norm gives every ratio, bit for bit
+    the ratio of the pair's own (seeds, 2) run.
     """
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
@@ -134,52 +121,48 @@ def verify_theorem(
     params_of = theorem1_params if which == 1 else theorem2_params
     label = f"thm{which}"
 
-    pairs = []
-    for ci, cond in enumerate(sorted(conds)):
-        bounds = EigenBounds(1.0, float(cond))
-        params = params_of(bounds)
-        for ei, eps in enumerate(sorted(eps_values)):
-            budget = budget_of(bounds.cond_bar, float(eps)).budget
-            if budget_override is not None:
-                budget = budget_override
-            pairs.append((ci, float(cond), ei, float(eps), params, budget))
-
-    m, num_steps = len(pairs), max(pair[-1] for pair in pairs)
+    conds = [float(cond) for cond in sorted(conds)]
+    eps_values = [float(eps) for eps in sorted(eps_values)]
+    rules, budgets = [], []
+    for cond in conds:
+        bounds = EigenBounds(1.0, cond)
+        rules.append(params_of(bounds))
+        budgets += [budget_of(bounds.cond_bar, eps).budget for eps in eps_values]
+    if budget_override is not None:
+        budgets = [budget_override] * len(budgets)
+    pairs = list(itertools.product(conds, eps_values))  # pair j, in budget order
+    m, num_steps = len(pairs), max(budgets)
     require_storable(
         (num_steps + 1) * num_seeds * 2 * m,
         f"{label} run of K={num_steps} steps at seeds={num_seeds} pairs={m}",
     )
-    curvatures = [1.0] * m + [cond for _, cond, *_ in pairs]
+    curvatures = [1.0] * m + [cond for cond, _ in pairs]
     problem = make_diagonal_problem(curvatures)
     # conds are sorted and >= 28, so the sorted spectrum keeps this layout
     assert problem.eigenvalues.tolist() == curvatures
-    rules = [params for *_, params, _ in pairs] * 2
-    params = MethodParams(
-        np.array([p.alpha for p in rules]), np.array([p.beta for p in rules]), rules[0].kind
-    )
-    starts = np.empty((num_seeds, 2 * m))
-    for j, (ci, _, ei, _, _, _) in enumerate(pairs):
-        for si in range(num_seeds):
-            seed = stream_seed(master_seed, X0_STREAM, ci, ei, si)
-            starts[si, [j, m + j]] = _unit_start(2, seed)
-    traj = run(problem, params, starts, num_steps)
+    pair_rules = [rule for rule in rules for _ in eps_values] * 2
+    alphas, betas = np.array([(rule.alpha, rule.beta) for rule in pair_rules]).T
+    params = MethodParams(alphas, betas, rules[0].kind)
+    starts = np.array([
+        _unit_start(2, stream_seed(master_seed, X0_STREAM, *cell))
+        for cell in np.ndindex(len(conds), len(eps_values), num_seeds)
+    ]).reshape(m, num_seeds, 2)
+    traj = run(problem, params, starts.transpose(1, 2, 0).reshape(num_seeds, 2 * m), num_steps)
 
-    cases = []
-    for j, (_, cond, _, eps, _, budget) in enumerate(pairs):
-        cols = [j, m + j]
-        final = traj.errors[budget - 1 : budget + 1][..., cols]
-        averaged = 0.5 * (final[0] + final[1])
-        for si, (x0, x_avg) in enumerate(zip(starts[:, cols], averaged)):
-            # x* = 0, so errors are points; per-row norms, so each ratio
-            # equals that of the seed's own run
-            ratio = float(np.linalg.norm(x_avg)) / float(np.linalg.norm(x0))
-            cases.append(
-                TheoremCase(cond=cond, eps=eps, seed_index=si, budget=budget, ratio=ratio)
-            )
-    lines = [case.line(label) for case in cases]
-    num_pass = sum(case.passed for case in cases)
-    lines.append(f"{label}: {num_pass}/{len(cases)} cells passed")
-    return SweepReport(label=label, passed=num_pass == len(cases), lines=lines)
+    # x* = 0, so errors are points; final[r, j] is row K_j - 1 + r of pair j, (seeds, 2)
+    history = traj.errors.reshape(num_steps + 1, num_seeds, 2, m)
+    final = history[np.array(budgets) + [[-1], [0]], :, :, np.arange(m)]
+    ratios = _row_norms(0.5 * (final[0] + final[1])) / _row_norms(starts)
+    passed = ratios <= np.array([eps for _, eps in pairs])[:, None]
+    cells = zip(ratios.tolist(), np.where(passed, "PASS", "FAIL").tolist())
+    lines = [
+        f"{label} cond={cond:g} eps={eps:g} seed={si} K={budget} ratio={ratio:.6e} {status}"
+        for (cond, eps), budget, (pair_ratios, pair_status) in zip(pairs, budgets, cells)
+        for si, (ratio, status) in enumerate(zip(pair_ratios, pair_status))
+    ]
+    num_pass = int(passed.sum())
+    lines.append(f"{label}: {num_pass}/{passed.size} cells passed")
+    return SweepReport(label=label, passed=num_pass == passed.size, lines=lines)
 
 
 def log_power_norms(mat, kmax: int) -> np.ndarray:
@@ -322,6 +305,12 @@ def verify_schur(grid=None, kmax: int = 200) -> SweepReport:
     return _sweep("schur", grid, kmax, violations, summary)
 
 
-def clamped_eigvec_condition(alpha_i, beta, clamp: float = 20.0):
-    """min(cond(S), clamp) at a point or over arrays; the double root maps to clamp."""
-    return _scalar(np.minimum(eigvec_condition(analyze_hbm(alpha_i, beta)), clamp))
+# Ceiling of the fig4-left surface cond(S), which is infinite at the double root.
+_EIGVEC_CONDITION_CLAMP = 20.0
+
+
+def clamped_eigvec_condition(alpha_i, beta):
+    """min(cond(S), 20) at a point or over arrays; the double root maps to 20."""
+    return _scalar(
+        np.minimum(eigvec_condition(analyze_hbm(alpha_i, beta)), _EIGVEC_CONDITION_CLAMP)
+    )

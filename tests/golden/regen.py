@@ -162,6 +162,10 @@ def _error_cases() -> dict[str, tuple[list[str], dict]]:
         ["verify", "thm1", "--cond", "10", "--eps", "0.01", "--seeds", "2"],
         ["verify", "thm1", "--cond", "100", "--eps", "0.02", "--seeds", "2"],
         ["verify", "thm1", "--cond", "100", "--eps", "0.01", "--seeds", "2", "--steps", "3"],
+        # error order across pairs: each cond's rule, then its budgets, cond by cond
+        # (1e33's rule fails before its budget would; 28 passes before 100 fails)
+        ["verify", "thm1", "--cond", "28,1e33", "--eps", "0.03", "--seeds", "2"],
+        ["verify", "thm1", "--cond", "100,28", "--eps", "0.02", "--seeds", "2"],
         ["verify", "thm1", "--cond", "0"],
         ["verify", "thm1", "--cond", "1e308"],
         ["verify", "thm2", "--eps", "5e-324"],

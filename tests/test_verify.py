@@ -3,10 +3,13 @@ report bytes, failure lines and the stacked power loop, each checked
 against a per-cell or per-point reference."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momlab import verify
 from momlab.complexity import theorem1_budget
@@ -290,6 +293,48 @@ def test_stacked_theorem_run_makes_one_problem_and_one_run(monkeypatch):
     report = verify.verify_theorem(2, [28.0, 100.0, 1000.0], [1e-3, 1e-4], 3)
     assert report.passed and len(report.lines) == 3 * 2 * 3 + 1
     assert calls == ["make_diagonal_problem", "run"]
+
+
+# zeros, subnormals, the square's underflow and overflow edges, and overflow
+_EDGE_COORDS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-162, 1.3407807929942596e154,
+     -1.3407807929942597e154, 1e308, 1.7976931348623157e308]
+)
+_COORD = st.one_of(_EDGE_COORDS, st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    rows=st.lists(st.tuples(_COORD, _COORD), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-1080, 1030),
+)
+def test_batched_row_norms_are_numpys_norm_of_each_row(rows, seed, exponent):
+    # plus 32 rows of full random mantissas at scale 2**exponent, where a
+    # plain sum of squares rounds differently from the dot kernel
+    with np.errstate(over="ignore", under="ignore"):
+        scaled = np.ldexp(np.random.default_rng(seed).standard_normal((32, 2)), exponent)
+        v = np.concatenate([np.array(rows).reshape(-1, 2), scaled])
+        expected = np.array([np.linalg.norm(row) for row in v])
+        # contiguous rows, a (2, rows) stack read transposed, and a 3-D stack
+        for stack in (v, np.array(v.T).T, v[:, None, :]):
+            got = verify._row_norms(stack).reshape(-1)
+            assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_theorem_readout_never_copies_the_history():
+    conds, eps, seeds = [32.0, 100.0, 500.0, 3000.0, 8500.0], 1.0 / 8500.0, 10
+    verify.verify_theorem(1, conds, [eps], seeds)  # one-time imports and caches
+    tracemalloc.start()
+    try:
+        report = verify.verify_theorem(1, conds, [eps], seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    # the (K+1, seeds, 2m) float64 history of the one stacked run, 1.0 MB
+    history = (theorem1_budget(8500.0, eps).budget + 1) * seeds * 2 * len(conds) * 8
+    assert peak <= 1.05 * history + 64 * 1024, (peak, history)
 
 
 def _refuse_allocation(monkeypatch, names):
