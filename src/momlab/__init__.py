@@ -44,7 +44,6 @@ from .problems import (
     gradient,
     make_diagonal_problem,
     make_rotated_problem,
-    minimizer,
     random_orthogonal,
 )
 from .spectral import (
@@ -55,7 +54,6 @@ from .spectral import (
     block_power,
     double_root_beta,
     eigvec_condition,
-    gershgorin_norm_bound,
     hbm_block,
     nag_block,
     parameter_grid,

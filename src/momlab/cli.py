@@ -45,7 +45,7 @@ from .problems import (
     make_diagonal_problem,
     make_rotated_problem,
 )
-from .seeding import ROTATION_STREAM, X0_STREAM, stream_seed
+from .seeding import ROTATION_STREAM, X0_STREAM, stream_seed, unit_start
 from .spectral import _GRID_BETAS, analyze_hbm, analyze_nag, double_root_beta
 from .verify import (
     clamped_eigvec_condition,
@@ -64,6 +64,11 @@ FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4-left", "fig4-right", "fig5-analogue"
 VERIFY_IDS = ("thm1", "thm2", "norm-bound", "schur")
 
 _METHOD_NAMES = {kind.value: kind for kind in MethodKind}
+# The methods each theorem rule applies to, in MethodKind order.
+_RULE_FAMILIES = {
+    "theorem1": [kind for kind in MethodKind if kind not in ACCELERATED_KINDS],
+    "theorem2": [kind for kind in MethodKind if kind in ACCELERATED_KINDS],
+}
 
 
 # 17 significant digits: every float64 round-trips. ``%`` formats a float as
@@ -155,11 +160,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _convert(name: str, value, to):
     """``to(value)`` for config field ``name``; a failed conversion is a ConfigError."""
     try:
         return to(value)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"field {name!r}: {exc}") from exc
 
 
@@ -239,7 +249,7 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
     if cfg.spectrum_law is not None and cfg.spectrum_law not in ("two-point", "log-uniform"):
         raise ConfigError(f"field 'spectrum_law' must be two-point or log-uniform, got {cfg.spectrum_law!r}")
 
-    if cfg.source not in ("explicit", "theorem1", "theorem2"):
+    if cfg.source not in ("explicit", *_RULE_FAMILIES):
         raise ConfigError(f"field 'params.source' must be explicit/theorem1/theorem2, got {cfg.source!r}")
     if cfg.source == "explicit":
         if cfg.alpha is None or cfg.beta is None:
@@ -251,10 +261,10 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
 
     if cfg.method is not None and not (isinstance(cfg.method, str) and cfg.method in _METHOD_NAMES):
         raise ConfigError(f"field 'method' must be one of {sorted(_METHOD_NAMES)}, got {cfg.method!r}")
-    if cfg.source == "theorem1" and cfg.method not in (None, "mm", "hbm"):
-        raise ConfigError("theorem1 parameters apply to methods 'mm'/'hbm'")
-    if cfg.source == "theorem2" and cfg.method not in (None, "nag", "nag-compact"):
-        raise ConfigError("theorem2 parameters apply to methods 'nag'/'nag-compact'")
+    family = _RULE_FAMILIES.get(cfg.source)
+    if family is not None and cfg.method is not None and _METHOD_NAMES[cfg.method] not in family:
+        names = "/".join(repr(kind.value) for kind in family)
+        raise ConfigError(f"{cfg.source} parameters apply to methods {names}")
 
     if (cfg.num_steps is None) == (cfg.eps is None):
         raise ConfigError("need exactly one of fields 'num_steps' and 'eps'")
@@ -275,6 +285,22 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("field 'x0' must be a vector or the string 'random-unit'")
     if isinstance(cfg.x0, str) and cfg.x0 != "random-unit":
         raise ConfigError(f"field 'x0' string form must be 'random-unit', got {cfg.x0!r}")
+
+    for name, value in (("cond", cfg.cond), ("eps", cfg.eps), ("params.alpha", cfg.alpha),
+                        ("params.beta", cfg.beta)):
+        if value is not None and not _is_number(value):
+            raise ConfigError(f"field {name!r} must be a number, got {value!r}")
+    x0_vector = cfg.x0 if isinstance(cfg.x0, list) else None  # not 'random-unit'
+    for name, value in (("spectrum", cfg.spectrum), ("shift", cfg.shift), ("x0", x0_vector)):
+        if value is None:
+            continue
+        if not isinstance(value, list):
+            raise ConfigError(f"field {name!r} must be a list of numbers, got {value!r}")
+        bad = next((i for i, entry in enumerate(value) if not _is_number(entry)), None)
+        if bad is not None:
+            raise ConfigError(
+                f"field {name!r} must be a list of numbers, got {value[bad]!r} at index {bad}"
+            )
     return cfg
 
 
@@ -322,14 +348,14 @@ def _cmd_run(args) -> int:
 
     spectrum = _spectrum_from_config(cfg)
     bounds = EigenBounds.from_spectrum(spectrum)
-    if cfg.source in ("theorem1", "theorem2"):
+    if cfg.source in _RULE_FAMILIES:
         params = (theorem1_params if cfg.source == "theorem1" else theorem2_params)(bounds)
         if cfg.method is not None:  # the rule's family, in the configured form
             params = MethodParams(params.alpha, params.beta, _METHOD_NAMES[cfg.method])
     else:
         try:
             params = MethodParams(float(cfg.alpha), float(cfg.beta), _METHOD_NAMES[cfg.method])
-        except (TypeError, ValueError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"fields 'params.alpha'/'params.beta': {exc}") from exc
         rho = _predicted_rho(params, bounds)
         if not rho < 1.0:
@@ -357,9 +383,7 @@ def _cmd_run(args) -> int:
         problem = make_diagonal_problem(spectrum)
 
     if isinstance(cfg.x0, str):
-        rng = np.random.default_rng(stream_seed(cfg.seed, X0_STREAM))
-        v = rng.standard_normal(problem.dimension)
-        x0 = problem.x_star + v / np.linalg.norm(v)
+        x0 = problem.x_star + unit_start(problem.dimension, stream_seed(cfg.seed, X0_STREAM))
     else:
         # one start: run would take a (batch, n) stack, the CSV cannot
         x0 = _as_vector(_convert("x0", cfg.x0, _floats), problem.dimension, "x0")
@@ -489,6 +513,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_params(args) -> int:
+    if args.cond is not None and (args.lower is not None or args.upper is not None):
+        raise ConfigError("params --cond excludes --lower/--upper")
     if args.cond is not None:
         if len(args.cond) != 1:
             raise ConfigError("params takes a single --cond value")

@@ -35,7 +35,6 @@ __all__ = [
     "make_rotated_problem",
     "random_orthogonal",
     "gradient",
-    "minimizer",
     "gershgorin_upper",
 ]
 
@@ -254,11 +253,6 @@ def gradient(problem: QuadraticProblem, x) -> np.ndarray:
     """
     x = _as_points(x, problem.dimension, "x")
     return np.matmul(problem.hessian, x[..., None])[..., 0] - problem.linear_term
-
-
-def minimizer(problem: QuadraticProblem) -> np.ndarray:
-    """The stored solution of Hx* = b."""
-    return problem.x_star
 
 
 def gershgorin_upper(problem: QuadraticProblem) -> float:

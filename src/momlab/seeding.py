@@ -13,7 +13,9 @@ so any implementation that reproduces ``stream_seed`` reproduces the runs.
 
 from __future__ import annotations
 
-__all__ = ["splitmix64", "stream_seed", "ROTATION_STREAM", "X0_STREAM"]
+import numpy as np
+
+__all__ = ["splitmix64", "stream_seed", "unit_start", "ROTATION_STREAM", "X0_STREAM"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -36,3 +38,10 @@ def stream_seed(master: int, *path: int) -> int:
     for component in path:
         z = splitmix64((z + _GOLDEN + (component & _MASK)) & _MASK)
     return z
+
+
+def unit_start(dimension: int, seed: int) -> np.ndarray:
+    """v / ||v|| for v a standard normal draw seeded by ``seed``: the seeded
+    start of ``momlab run`` and of each ``verify thm1|thm2`` cell."""
+    v = np.random.default_rng(seed).standard_normal(dimension)
+    return v / np.linalg.norm(v)

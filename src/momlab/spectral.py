@@ -50,7 +50,6 @@ __all__ = [
     "block_power",
     "power_norm_bound",
     "spectral_norm_2x2",
-    "gershgorin_norm_bound",
     "parameter_grid",
     "double_root_beta",
     "snapped_double_root",
@@ -462,22 +461,6 @@ def spectral_norm_2x2(m):
         a = a / safe[..., None, None]
     sigma = _gram_sigma_max(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1])
     return _scalar(np.where(regular, safe * sigma, scale))
-
-
-def gershgorin_norm_bound(m) -> float:
-    """Row-circle bound sqrt(M^2 + M|b| + |b|^2) for a triangular 2x2 matrix,
-    where M is the larger diagonal magnitude and b the off-diagonal entry."""
-    a = np.asarray(m, dtype=complex)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
-    if a[1, 0] == 0.0:
-        b = a[0, 1]
-    elif a[0, 1] == 0.0:
-        b = a[1, 0]  # lower triangular: same singular values as the adjoint
-    else:
-        raise ValueError("matrix is not triangular")
-    big = max(abs(a[0, 0]), abs(a[1, 1]))
-    return math.sqrt(big**2 + big * abs(b) + abs(b) ** 2)
 
 
 def double_root_beta(alpha_i):

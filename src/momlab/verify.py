@@ -27,7 +27,7 @@ from .complexity import theorem1_budget, theorem2_budget
 from .errors import require_storable
 from .methods import MethodParams, run, theorem1_params, theorem2_params
 from .problems import EigenBounds, make_diagonal_problem
-from .seeding import X0_STREAM, stream_seed
+from .seeding import X0_STREAM, stream_seed, unit_start
 from .spectral import (
     DOUBLE_ROOT,
     _gram_sigma_max,
@@ -49,21 +49,9 @@ __all__ = [
 
 
 def thread_cap() -> int:
-    """min(cpu count, 8), capped by MOMLAB_THREADS.
-
-    No sweep uses it any more: the sweeps run as one batched numpy pass. It
-    stays only because the benchmark's tracer reads it for its
-    ``verify.threads``/``verify.pool_gain`` metrics; the benchmark change
-    that retires those metrics removes it too.
-    """
-    cap = min(os.cpu_count() or 1, 8)
-    env = os.environ.get("MOMLAB_THREADS")
-    if env is not None:
-        try:
-            cap = min(cap, max(1, int(env)))
-        except ValueError:
-            cap = 1
-    return cap
+    """min(cpu count, 8), read only by the benchmark's tracer for its ``verify.threads``
+    and ``verify.pool_gain``; the benchmark change that retires those removes it."""
+    return min(os.cpu_count() or 1, 8)
 
 
 @dataclass(frozen=True)
@@ -74,12 +62,6 @@ class SweepReport:
 
     def text(self) -> str:
         return "\n".join(self.lines)
-
-
-def _unit_start(dimension: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dimension)
-    return v / np.linalg.norm(v)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -144,7 +126,7 @@ def verify_theorem(
     alphas, betas = np.array([(rule.alpha, rule.beta) for rule in pair_rules]).T
     params = MethodParams(alphas, betas, rules[0].kind)
     starts = np.array([
-        _unit_start(2, stream_seed(master_seed, X0_STREAM, *cell))
+        unit_start(2, stream_seed(master_seed, X0_STREAM, *cell))
         for cell in np.ndindex(len(conds), len(eps_values), num_seeds)
     ]).reshape(m, num_seeds, 2)
     traj = run(problem, params, starts.transpose(1, 2, 0).reshape(num_seeds, 2 * m), num_steps)

@@ -7,9 +7,8 @@ import pytest
 from momlab.complexity import theorem1_budget, theorem2_budget
 from momlab.methods import run, theorem1_params, theorem2_params
 from momlab.problems import EigenBounds, make_diagonal_problem
-from momlab.seeding import X0_STREAM, stream_seed
+from momlab.seeding import X0_STREAM, stream_seed, unit_start
 from momlab.spectral import COMPLEX_PAIR, DOUBLE_ROOT, DOUBLE_ROOT_TOL, REAL_PAIR, parameter_grid
-from momlab.verify import _unit_start
 
 
 @pytest.fixture(scope="session")
@@ -183,7 +182,7 @@ def reference_theorem_lines(
             if budget_override is not None:
                 budget = budget_override
             seeds = [stream_seed(master_seed, X0_STREAM, ci, ei, si) for si in range(num_seeds)]
-            starts = np.array([_unit_start(2, seed) for seed in seeds])
+            starts = np.array([unit_start(2, seed) for seed in seeds])
             traj = run(problem, params, starts, budget)
             for si, (x0, averaged) in enumerate(zip(starts, traj.averaged_final)):
                 start_dist = float(np.linalg.norm(x0 - problem.x_star))

@@ -149,6 +149,9 @@ def _error_cases() -> dict[str, tuple[list[str], dict]]:
         ),
         "unwritable out": (["run", "--config", "cfg.json", "--out", "no-such-dir/run.csv"], files),
         "steps not a count": (["run", "--config", "cfg.json", "--steps", "zero"], files),
+        "eps a bool": _run_case({"spectrum": [1, 100], "params": theorem, "eps": True}),
+        "cond and eps strings": _run_case({**law, "params": theorem, "cond": "100", "eps": "1e-3"}),
+        "spectrum entry a string": _run_case({**base, "spectrum": [1, "2"]}),
     }
     cases = {f"run error {name}": case for name, case in run_errors.items()}
     argvs = [
@@ -173,6 +176,7 @@ def _error_cases() -> dict[str, tuple[list[str], dict]]:
         ["verify", "norm-bound", "--steps", "10000000"],
         ["verify", "schur", "--steps", "47620"],
         ["params", "--eps", "0.01"],
+        ["params", "--cond", "28", "--lower", "2", "--upper", "56", "--eps", "0.01"],
         ["params", "--cond", "28,100", "--eps", "0.01"],
         ["params", "--cond", "100", "--eps", "5e-324"],
         ["params", "--cond", "1e40", "--eps", "1e-50"],

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momlab.cli
 import momlab.errors
 import momlab.methods
 from momlab.cli import (
@@ -238,6 +239,11 @@ JSON_NULL = object()  # a patch value written as JSON null; None deletes the key
         {"spectrum": None, "n": 5.7, "cond": 100, "spectrum_law": "two-point"},
         {"spectrum": None, "n": "7", "cond": 100, "spectrum_law": "two-point"},
         {"params": {"source": "explicit", "alpha": 0.01, "beta": 0.5, "gamma": 3}},
+        # float fields take JSON numbers only: not a bool, not a numeric string
+        {"params": {"source": "theorem1"}, "num_steps": None, "eps": True},
+        {"spectrum": None, "n": 4, "cond": "100", "spectrum_law": "two-point", "x0": None,
+         "params": {"source": "theorem1"}, "num_steps": None, "eps": "1e-3"},
+        {"spectrum": [1, "2"]},
     ],
 )
 def test_run_config_validation_errors(tmp_path, patch, capsys):
@@ -250,6 +256,70 @@ def test_run_config_validation_errors(tmp_path, patch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("momlab: error: ") and err.count("\n") == 1
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"params": {"source": "theorem1"}, "num_steps": None, "eps": True},
+         "field 'eps' must be a number, got True"),
+        ({"spectrum": None, "n": 4, "cond": "100", "spectrum_law": "two-point", "x0": None,
+          "params": {"source": "theorem1"}, "num_steps": None, "eps": "1e-3"},
+         "field 'cond' must be a number, got '100'"),
+        ({"params": {"source": "theorem1"}, "num_steps": None, "eps": "1e-3"},
+         "field 'eps' must be a number, got '1e-3'"),
+        ({"params": {"source": "explicit", "alpha": False, "beta": 0.85}},
+         "field 'params.alpha' must be a number, got False"),
+        ({"params": {"source": "explicit", "alpha": 0.019, "beta": "0.85"}},
+         "field 'params.beta' must be a number, got '0.85'"),
+        ({"spectrum": [1, "2"]}, "field 'spectrum' must be a list of numbers, got '2' at index 1"),
+        ({"spectrum": 100}, "field 'spectrum' must be a list of numbers, got 100"),
+        ({"rotate": True, "shift": [0.0, True]},
+         "field 'shift' must be a list of numbers, got True at index 1"),
+        ({"x0": ["1", 1.0]}, "field 'x0' must be a list of numbers, got '1' at index 0"),
+        ({"x0": [[1.0, 1.0]]}, "field 'x0' must be a list of numbers, got [1.0, 1.0] at index 0"),
+        # a JSON integer past float64
+        ({"spectrum": None, "n": 4, "cond": 10**400, "spectrum_law": "two-point",
+          "x0": None},
+         "field 'cond': int too large to convert to float"),
+        ({"spectrum": [1, 10**400]}, "field 'spectrum': int too large to convert to float"),
+    ],
+)
+def test_run_refuses_float_fields_that_are_not_float64_numbers_before_building(
+    tmp_path, capsys, monkeypatch, patch, message
+):
+    # formerly a bool ran as 0 or 1, a numeric string as its number, and an
+    # integer past float64 ended in an OverflowError traceback
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the config was validated")
+
+    for name in ("DiagonalSpectrum", "make_diagonal_problem", "make_rotated_problem", "run"):
+        monkeypatch.setattr(momlab.cli, name, refuse)
+    cfg_path = tmp_path / "cfg.json"
+    cfg = _write_config(cfg_path)
+    cfg.update(patch)
+    cfg_path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == f"momlab: error: {message}\n"
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "source, method, family",
+    [
+        ("theorem1", "nag", "'mm'/'hbm'"),
+        ("theorem1", "nag-compact", "'mm'/'hbm'"),
+        ("theorem2", "mm", "'nag'/'nag-compact'"),
+        ("theorem2", "hbm", "'nag'/'nag-compact'"),
+    ],
+)
+def test_run_refuses_a_method_outside_the_rules_family(tmp_path, capsys, source, method, family):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, method=method, params={"source": source})
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"momlab: error: {source} parameters apply to methods {family}\n"
+    )
 
 
 # Values of the wrong type or out of range for any field. None as a value
@@ -734,6 +804,17 @@ def test_params_lower_upper(capsys):
 
 def test_params_missing_bounds(capsys):
     assert main(["params", "--eps", "0.01"]) == 3
+
+
+@pytest.mark.parametrize(
+    "bounds", [["--lower", "2"], ["--upper", "56"], ["--lower", "2", "--upper", "56"]]
+)
+def test_params_refuses_cond_with_lower_or_upper(capsys, bounds):
+    # formerly printed the rules for --cond and dropped the bounds
+    assert main(["params", "--cond", "28", *bounds, "--eps", "0.01"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "momlab: error: params --cond excludes --lower/--upper\n"
 
 
 def test_bad_cli_usage_exits_3(capsys):

@@ -20,7 +20,6 @@ from momlab.problems import (
     gradient,
     make_diagonal_problem,
     make_rotated_problem,
-    minimizer,
     random_orthogonal,
 )
 
@@ -29,13 +28,13 @@ def test_make_diagonal_problem_basic():
     p = make_diagonal_problem([1, 100])
     assert np.array_equal(p.hessian, np.diag([1.0, 100.0]))
     assert np.array_equal(p.linear_term, np.zeros(2))
-    assert np.array_equal(minimizer(p), np.zeros(2))
+    assert np.array_equal(p.x_star, np.zeros(2))
 
 
 def test_make_diagonal_problem_one_d():
     p = make_diagonal_problem([1])
     assert np.array_equal(p.hessian, np.array([[1.0]]))
-    assert np.array_equal(minimizer(p), np.zeros(1))
+    assert np.array_equal(p.x_star, np.zeros(1))
 
 
 def test_make_diagonal_problem_sorts():
@@ -75,13 +74,13 @@ def test_rotated_minimizer_matches_shift():
     shift = np.array([2.0, -1.0, 0.5, 7.0])
     p = make_rotated_problem([1, 3, 30, 100], seed=9, shift=shift)
     # the builder hands in x* = shift; nothing is solved
-    assert np.array_equal(minimizer(p), shift)
+    assert np.array_equal(p.x_star, shift)
 
 
 def test_gradient_examples():
     p = make_diagonal_problem([1, 100])
     assert np.array_equal(gradient(p, [1.0, 1.0]), [1.0, 100.0])
-    assert np.array_equal(gradient(p, minimizer(p)), np.zeros(2))
+    assert np.array_equal(gradient(p, p.x_star), np.zeros(2))
     q = make_diagonal_problem([2, 3])
     assert np.array_equal(gradient(q, [-1.0, 2.0]), [-2.0, 6.0])
 
@@ -94,7 +93,7 @@ def test_gradient_dimension_mismatch():
 
 def test_minimizer_with_linear_term():
     p = QuadraticProblem.from_matrix(np.array([[1.0]]), np.array([5.0]))
-    assert np.array_equal(minimizer(p), [5.0])
+    assert np.array_equal(p.x_star, [5.0])
 
 
 def test_singular_hessian_rejected():
@@ -152,7 +151,7 @@ def test_gradient_at_minimizer_invariant():
         make_rotated_problem(np.geomspace(0.5, 500.0, 8), seed=17, shift=np.arange(8.0)),
     ]
     for p in cases:
-        lhs = np.linalg.norm(gradient(p, minimizer(p)))
+        lhs = np.linalg.norm(gradient(p, p.x_star))
         assert lhs <= 1e-9 * (1.0 + np.linalg.norm(p.linear_term))
 
 

@@ -19,7 +19,6 @@ from momlab.spectral import (
     block_power,
     double_root_beta,
     eigvec_condition,
-    gershgorin_norm_bound,
     hbm_block,
     nag_block,
     parameter_grid,
@@ -432,18 +431,6 @@ def test_spectral_norm_takes_a_stack():
         spectral_norm_2x2(np.ones((2, 3)))
     with pytest.raises(ValueError):
         spectral_norm_2x2(np.ones(2))
-
-
-def test_gershgorin_norm_bound_triangular():
-    m = np.array([[0.9, 1.0], [0.0, 0.8]])
-    bound = gershgorin_norm_bound(m)
-    assert bound == pytest.approx(math.sqrt(0.81 + 0.9 + 1.0), abs=1e-14)
-    assert spectral_norm_2x2(m) <= bound
-    # lower triangular goes through the adjoint
-    lower = np.array([[1.0, 0.0], [0.5, 1.0]])
-    assert gershgorin_norm_bound(lower) == pytest.approx(math.sqrt(1.0 + 0.5 + 0.25))
-    with pytest.raises(ValueError):
-        gershgorin_norm_bound(np.ones((2, 2)))
 
 
 def test_nag_generalized_formulas():

@@ -3,6 +3,7 @@ report bytes, failure lines and the stacked power loop, each checked
 against a per-cell or per-point reference."""
 
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from momlab import verify
 from momlab.complexity import theorem1_budget
 from momlab.errors import MAX_RUN_VALUES, ConfigError
+from momlab.seeding import unit_start
 from momlab.spectral import (
     DOUBLE_ROOT,
     analyze_hbm,
@@ -391,3 +393,18 @@ def test_sweep_too_large_to_store_is_refused(monkeypatch, sweep):
     grid = parameter_grid(alpha_step=0.5)
     with pytest.raises(AssertionError, match="refusal must come before"):
         sweep(grid, kmax=MAX_RUN_VALUES // len(grid))  # fits, so it gets past the guard
+
+
+@settings(deadline=None, max_examples=100)
+@given(dimension=st.sampled_from([1, 2, 400]), seed=st.integers(0, 2**64 - 1))
+def test_unit_start_is_the_normalized_seeded_draw_bit_for_bit(dimension, seed):
+    v = np.random.default_rng(seed).standard_normal(dimension)
+    assert unit_start(dimension, seed).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
+@pytest.mark.parametrize("setting", [None, "1", "4", "x"])
+def test_thread_cap_ignores_momlab_threads(monkeypatch, setting):
+    monkeypatch.delenv("MOMLAB_THREADS", raising=False)
+    if setting is not None:
+        monkeypatch.setenv("MOMLAB_THREADS", setting)
+    assert verify.thread_cap() == min(os.cpu_count() or 1, 8)
