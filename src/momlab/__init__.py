@@ -37,7 +37,6 @@ from .methods import (
     theorem2_params,
 )
 from .problems import (
-    DiagonalSpectrum,
     EigenBounds,
     QuadraticProblem,
     gershgorin_upper,

@@ -39,9 +39,9 @@ from .methods import (
     theorem2_params,
 )
 from .problems import (
-    DiagonalSpectrum,
     EigenBounds,
     _as_vector,
+    _checked_spectrum,
     make_diagonal_problem,
     make_rotated_problem,
 )
@@ -304,19 +304,25 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def _spectrum_from_config(cfg: RunConfig) -> DiagonalSpectrum:
-    if cfg.spectrum is not None:
-        return DiagonalSpectrum(_convert("spectrum", cfg.spectrum, _floats))
+def _law_bounds(cfg: RunConfig) -> EigenBounds:
+    """The bounds of the config's spectrum law, known before its values are
+    built: 1 and cond are the law's exact smallest and largest values."""
     n, cond = cfg.n, _convert("cond", cfg.cond, float)
     if n < 2:
         raise ConfigError(f"field 'n' must be >= 2 for a spectrum law, got {n}")
     if cond < 1.0:
         raise ConfigError(f"field 'cond' must be >= 1, got {cond}")
+    if not np.isfinite(cond):  # refused by the spectrum check, which lists every value
+        require_storable(n, f"{cfg.spectrum_law} spectrum at n={n}")
+        _checked_spectrum(_law_values(cfg))
+    return EigenBounds(1.0, cond)
+
+
+def _law_values(cfg: RunConfig):
+    n, cond = cfg.n, float(cfg.cond)
     if cfg.spectrum_law == "two-point":
-        values = [1.0] * (n - n // 2) + [cond] * (n // 2)
-    else:
-        values = np.geomspace(1.0, cond, n)
-    return DiagonalSpectrum(values)
+        return [1.0] * (n - n // 2) + [cond] * (n // 2)
+    return np.geomspace(1.0, cond, n)
 
 
 def _predicted_rho(params: MethodParams, bounds: EigenBounds) -> float:
@@ -346,8 +352,11 @@ def _cmd_run(args) -> int:
         cfg.num_steps, cfg.eps = args.steps, None
     cfg = _validate_run_config(cfg)
 
-    spectrum = _spectrum_from_config(cfg)
-    bounds = EigenBounds.from_spectrum(spectrum)
+    if cfg.spectrum is not None:
+        spectrum = _checked_spectrum(_convert("spectrum", cfg.spectrum, _floats))
+        n, bounds = spectrum.size, EigenBounds.from_spectrum(spectrum)
+    else:
+        spectrum, n, bounds = None, cfg.n, _law_bounds(cfg)
     if cfg.source in _RULE_FAMILIES:
         params = (theorem1_params if cfg.source == "theorem1" else theorem2_params)(bounds)
         if cfg.method is not None:  # the rule's family, in the configured form
@@ -370,12 +379,14 @@ def _cmd_run(args) -> int:
         budget_of = theorem1_budget if cfg.source == "theorem1" else theorem2_budget
         num_steps = budget_of(bounds.cond_bar, _convert("eps", cfg.eps, float)).budget
     require_storable(
-        max((num_steps + 1) * spectrum.n, spectrum.n * spectrum.n if cfg.rotate else 0),
-        f"{'rotated ' if cfg.rotate else ''}run of K={num_steps} steps at n={spectrum.n}",
+        max((num_steps + 1) * n, n * n if cfg.rotate else 0),
+        f"{'rotated ' if cfg.rotate else ''}run of K={num_steps} steps at n={n}",
     )
 
+    if spectrum is None:
+        spectrum = _law_values(cfg)
     if cfg.rotate:
-        shift = np.zeros(spectrum.n) if cfg.shift is None else _convert("shift", cfg.shift, _floats)
+        shift = np.zeros(n) if cfg.shift is None else _convert("shift", cfg.shift, _floats)
         problem = make_rotated_problem(spectrum, stream_seed(cfg.seed, ROTATION_STREAM), shift)
     else:
         if cfg.shift is not None:

@@ -28,7 +28,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DiagonalSpectrum",
     "EigenBounds",
     "QuadraticProblem",
     "make_diagonal_problem",
@@ -67,27 +66,6 @@ def _as_points(x, n: int, what: str = "x") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DiagonalSpectrum:
-    """Positive eigenvalues of a diagonal Hessian, sorted ascending."""
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        eig = np.atleast_1d(np.asarray(self.eigenvalues, dtype=float))
-        if eig.ndim != 1 or eig.size == 0:
-            raise InvalidSpectrumError("spectrum must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(eig)) or np.any(eig <= 0.0):
-            raise InvalidSpectrumError(
-                f"all eigenvalues must be finite and strictly positive, got {eig.tolist()}"
-            )
-        object.__setattr__(self, "eigenvalues", _frozen(np.sort(eig)))
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
-
-
-@dataclass(frozen=True)
 class EigenBounds:
     """Bounds 0 < lower <= upper on the Hessian spectrum."""
 
@@ -112,9 +90,8 @@ class EigenBounds:
         return self.upper / self.lower
 
     @classmethod
-    def from_spectrum(cls, spectrum: DiagonalSpectrum) -> "EigenBounds":
-        eig = spectrum.eigenvalues
-        return cls(float(eig[0]), float(eig[-1]))
+    def from_spectrum(cls, spectrum: np.ndarray) -> "EigenBounds":
+        return cls(float(np.min(spectrum)), float(np.max(spectrum)))
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
@@ -137,15 +114,29 @@ def _read_only(x) -> np.ndarray:
     return _frozen(a.copy()) if a.flags.writeable else a
 
 
+def _checked_spectrum(values) -> np.ndarray:
+    """``values`` as a read-only float array of finite positive eigenvalues,
+    kept in the order given."""
+    eig = np.atleast_1d(np.asarray(values, dtype=float))
+    if eig.ndim != 1 or eig.size == 0:
+        raise InvalidSpectrumError("spectrum must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(eig)) or np.any(eig <= 0.0):
+        raise InvalidSpectrumError(
+            f"all eigenvalues must be finite and strictly positive, got {eig.tolist()}"
+        )
+    return _read_only(eig)
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticProblem:
     """f(x) = 1/2 x'Hx - b'x stored as its eigendecomposition
     H = Q' diag(eigenvalues) Q and its minimizer x*, so that b = Hx*.
 
     ``rotation`` is Q, or None when H is diagonal (Q = I). The eigenvalues
-    must pass the singularity test, and b must be finite, which is checked as
-    Q'(eigenvalues * Qx*) in O(n^2) without forming H. ``hessian`` and
-    ``linear_term`` are formed on first access. All arrays are read-only.
+    must pass the singularity test and be positive, and b must be finite,
+    which is checked as Q'(eigenvalues * Qx*) in O(n^2) without forming H.
+    ``hessian`` and ``linear_term`` are formed on first access. All arrays
+    are read-only.
     """
 
     eigenvalues: np.ndarray
@@ -167,6 +158,8 @@ class QuadraticProblem:
             b = eigenvalues * x_star if q is None else q.T @ (eigenvalues * (q @ x_star))
         _require_finite(eigenvalues, b)  # an overflow of b is rejected as non-finite
         _require_nonsingular(eigenvalues)
+        if eigenvalues.min() <= 0.0:
+            raise NotPositiveDefiniteError("hessian is not positive definite")
 
     @functools.cached_property
     def hessian(self) -> np.ndarray:
@@ -203,8 +196,6 @@ class QuadraticProblem:
         _require_finite(h, b)
         eigenvalues, vectors = np.linalg.eigh(h)
         _require_nonsingular(eigenvalues)
-        if eigenvalues[0] <= 0.0:
-            raise NotPositiveDefiniteError("hessian is not positive definite")
         try:
             x_star = np.linalg.solve(h, b)
         except np.linalg.LinAlgError as exc:
@@ -216,9 +207,8 @@ class QuadraticProblem:
 
 def make_diagonal_problem(spectrum) -> QuadraticProblem:
     """Diagonal problem H = diag(spectrum), b = 0; the minimizer is the origin."""
-    if not isinstance(spectrum, DiagonalSpectrum):
-        spectrum = DiagonalSpectrum(spectrum)
-    return QuadraticProblem(spectrum.eigenvalues, None, _frozen(np.zeros(spectrum.n)))
+    spectrum = _checked_spectrum(spectrum)
+    return QuadraticProblem(spectrum, None, _frozen(np.zeros(spectrum.size)))
 
 
 def random_orthogonal(n: int, seed: int) -> np.ndarray:
@@ -238,10 +228,9 @@ def random_orthogonal(n: int, seed: int) -> np.ndarray:
 
 def make_rotated_problem(spectrum, seed: int, shift) -> QuadraticProblem:
     """Rotated-and-shifted problem H = Q'DQ, b = H @ shift, so x* = shift."""
-    if not isinstance(spectrum, DiagonalSpectrum):
-        spectrum = DiagonalSpectrum(spectrum)
-    rotation = _frozen(random_orthogonal(spectrum.n, seed))
-    return QuadraticProblem(spectrum.eigenvalues, rotation, _as_vector(shift, spectrum.n, "shift"))
+    spectrum = _checked_spectrum(spectrum)
+    rotation = _frozen(random_orthogonal(spectrum.size, seed))
+    return QuadraticProblem(spectrum, rotation, _as_vector(shift, spectrum.size, "shift"))
 
 
 def gradient(problem: QuadraticProblem, x) -> np.ndarray:

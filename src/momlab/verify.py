@@ -120,8 +120,6 @@ def verify_theorem(
     )
     curvatures = [1.0] * m + [cond for cond, _ in pairs]
     problem = make_diagonal_problem(curvatures)
-    # conds are sorted and >= 28, so the sorted spectrum keeps this layout
-    assert problem.eigenvalues.tolist() == curvatures
     pair_rules = [rule for rule in rules for _ in eps_values] * 2
     alphas, betas = np.array([(rule.alpha, rule.beta) for rule in pair_rules]).T
     params = MethodParams(alphas, betas, rules[0].kind)

@@ -72,6 +72,11 @@ def _run_cases() -> dict[str, tuple[list[str], dict]]:
             {"spectrum": [1, 2, 5, 50, 100], "rotate": True, "shift": [1, -1, 2, 0.5, -3],
              "method": method, "params": explicit, "x0": [0, 0, 0, 0, 0], "num_steps": 257}
         )
+    # spectrum[i] pairs with x0[i]: the given order is kept, not sorted
+    cases["run diagonal unsorted spectrum"] = _run_case(
+        {"spectrum": [100, 1, 3], "method": "hbm", "params": {"source": "theorem1"},
+         "x0": [1.0, -2.0, 0.5], "num_steps": 300}
+    )
     cases["run flags override config"] = (
         ["run", "--config", "cfg.json", "--seed", "9", "--steps", "7", "--out", "other.csv"],
         {"cfg.json": {"n": 6, "cond": 50, "spectrum_law": "log-uniform", "rotate": True,
@@ -152,6 +157,14 @@ def _error_cases() -> dict[str, tuple[list[str], dict]]:
         "eps a bool": _run_case({"spectrum": [1, 100], "params": theorem, "eps": True}),
         "cond and eps strings": _run_case({**law, "params": theorem, "cond": "100", "eps": "1e-3"}),
         "spectrum entry a string": _run_case({**base, "spectrum": [1, "2"]}),
+        # the size guard comes before a spectrum law's values are built
+        "two-point n=10**30": _run_case(
+            {**explicit, **law, "n": 10**30, "spectrum_law": "two-point", "params": theorem}
+        ),
+        "log-uniform n=10**30": _run_case({**explicit, **law, "n": 10**30, "params": theorem}),
+        "log-uniform n=30000000000": _run_case(
+            {**explicit, **law, "n": 30000000000, "params": theorem}
+        ),
     }
     cases = {f"run error {name}": case for name, case in run_errors.items()}
     argvs = [

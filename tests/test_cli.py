@@ -293,7 +293,7 @@ def test_run_refuses_float_fields_that_are_not_float64_numbers_before_building(
     def refuse(*args, **kwargs):
         raise AssertionError("built before the config was validated")
 
-    for name in ("DiagonalSpectrum", "make_diagonal_problem", "make_rotated_problem", "run"):
+    for name in ("_checked_spectrum", "make_diagonal_problem", "make_rotated_problem", "run"):
         monkeypatch.setattr(momlab.cli, name, refuse)
     cfg_path = tmp_path / "cfg.json"
     cfg = _write_config(cfg_path)
@@ -323,11 +323,14 @@ def test_run_refuses_a_method_outside_the_rules_family(tmp_path, capsys, source,
 
 
 # Values of the wrong type or out of range for any field. None as a value
-# writes JSON null; the magnitudes stay small where a field sets a size.
+# writes JSON null. Where a field sets a size the magnitudes stay small, or
+# so large that the size guard refuses the run: an n above MAX_RUN_VALUES / 2
+# stores more than MAX_RUN_VALUES values in any run of K >= 1 steps.
 _JUNK = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 20),
+    st.sampled_from([MAX_RUN_VALUES // 2 + 1, 30000000000, 2**63, 10**30]),
     st.floats(-20.0, 20.0),
     st.sampled_from([0.0, -1.0, 1e308, -1e308, float("nan"), float("inf"), float("-inf")]),
     st.text(max_size=4),
@@ -497,6 +500,70 @@ def test_run_refuses_a_rotation_too_large_to_store(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("law", ["two-point", "log-uniform"])
+@pytest.mark.parametrize("n", [10**30, 30000000000, MAX_RUN_VALUES // 2 + 1])
+def test_run_refuses_a_spectrum_law_too_large_to_store_before_building_it(
+    tmp_path, capsys, monkeypatch, law, n
+):
+    # formerly the law's values came first: n = 10**30 ended in an
+    # OverflowError or ValueError traceback, n = 3e10 in a MemoryError
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the refusal must come before the spectrum is built")
+
+    for name in ("_checked_spectrum", "make_diagonal_problem", "make_rotated_problem", "run"):
+        monkeypatch.setattr(momlab.cli, name, no_allocation)
+    monkeypatch.setattr(momlab.cli.np, "geomspace", no_allocation)
+    cfg_path = tmp_path / "cfg.json"
+    cfg = _write_config(cfg_path, spectrum=None, n=n, cond=100, spectrum_law=law,
+                        num_steps=1, x0="random-unit", params={"source": "theorem1"})
+    cfg_path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"momlab: error: run of K=1 steps at n={n} would store {2 * n} values,"
+        f" above MAX_RUN_VALUES={MAX_RUN_VALUES}\n"
+    )
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("law", ["two-point", "log-uniform"])
+@pytest.mark.parametrize("cond", [float("inf"), float("nan")])
+def test_run_refuses_a_spectrum_law_at_a_cond_that_is_not_finite(tmp_path, capsys, law, cond):
+    # a small law lists its values in the refusal, as before; a huge one
+    # meets the size guard instead of a traceback
+    small = [1.0, 1.0, cond, cond] if law == "two-point" else [1.0, cond, cond, cond]
+    cfg_path = tmp_path / "cfg.json"
+    for n, message in (
+        (4, f"all eigenvalues must be finite and strictly positive, got {small}"),
+        (10**30, f"{law} spectrum at n={10**30} would store {10**30} values,"
+                 f" above MAX_RUN_VALUES={MAX_RUN_VALUES}"),
+    ):
+        cfg = _write_config(cfg_path, spectrum=None, n=n, cond=cond, spectrum_law=law,
+                            num_steps=1, x0="random-unit", params={"source": "theorem1"})
+        cfg_path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+        with np.errstate(invalid="ignore"):  # geomspace(1, inf) warns
+            assert main(["run", "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err == f"momlab: error: {message}\n"
+        assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_run_pairs_spectrum_entry_i_with_x0_entry_i(tmp_path, rotate):
+    # spectrum[i] is coordinate i's curvature and x0[i] its start, so swapping
+    # both swaps the coordinates, and the norm of two is bitwise the same;
+    # formerly the sort paired [100, 1] with [1, 0] as [1, 100] with [1, 0].
+    # A rotated run pairs the spectrum's order with the one seeded Q.
+    outputs = []
+    for spectrum, x0 in (([100, 1], [1.0, 0.0]), ([1, 100], [0.0, 1.0]), ([1, 100], [1.0, 0.0])):
+        cfg_path = tmp_path / "cfg.json"
+        _write_config(cfg_path, spectrum=spectrum, x0=x0, rotate=rotate)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        outputs.append((tmp_path / "run.csv").read_bytes())
+    swapped, same, other = outputs
+    if not rotate:
+        assert swapped == same
+    assert swapped != other
+
+
 @pytest.mark.parametrize(
     "detail, message",
     [
@@ -511,7 +578,7 @@ def test_run_out_of_memory_exits_3_without_a_traceback(
     import momlab.cli
 
     def out_of_memory(spectrum):
-        assert spectrum.n == 200000
+        assert len(spectrum) == 200000
         raise MemoryError(detail)
 
     monkeypatch.setattr(momlab.cli, "make_diagonal_problem", out_of_memory)

@@ -13,7 +13,6 @@ from momlab.errors import (
 )
 from momlab.methods import MethodKind, MethodParams, run
 from momlab.problems import (
-    DiagonalSpectrum,
     EigenBounds,
     QuadraticProblem,
     gershgorin_upper,
@@ -37,15 +36,19 @@ def test_make_diagonal_problem_one_d():
     assert np.array_equal(p.x_star, np.zeros(1))
 
 
-def test_make_diagonal_problem_sorts():
+def test_make_diagonal_problem_keeps_the_spectrum_order():
+    # entry i is coordinate i's curvature: nothing is sorted
     p = make_diagonal_problem([5, 2, 3])
-    assert np.array_equal(np.diag(p.hessian), [2.0, 3.0, 5.0])
+    assert np.array_equal(p.eigenvalues, [5.0, 2.0, 3.0])
+    assert np.array_equal(np.diag(p.hessian), [5.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("bad", [[1, -2], [0.0, 1.0], [], [np.nan]])
 def test_invalid_spectra_rejected(bad):
     with pytest.raises(InvalidSpectrumError):
-        DiagonalSpectrum(bad)
+        make_diagonal_problem(bad)
+    with pytest.raises(InvalidSpectrumError):
+        make_rotated_problem(bad, seed=1, shift=np.zeros(len(bad)))
 
 
 def test_rotated_problem_preserves_spectrum():
@@ -135,8 +138,21 @@ def test_gershgorin_examples():
 
 
 def test_from_matrix_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NotPositiveDefiniteError, match=r"^hessian is not positive definite$"):
         QuadraticProblem.from_matrix([[1.0, 0.0], [0.0, -1.0]], np.zeros(2))
+    with pytest.raises(NotPositiveDefiniteError, match=r"^hessian is not positive definite$"):
+        QuadraticProblem.from_matrix([[1.0, 2.0], [2.0, 1.0]], np.ones(2))  # eigenvalues -1, 3
+
+
+@pytest.mark.parametrize("eigenvalues", [[-1.0, 2.0], [2.0, -1e-3]])
+@pytest.mark.parametrize("rotate", [False, True])
+def test_direct_construction_refuses_a_spectrum_that_is_not_positive(eigenvalues, rotate):
+    # nonsingular but indefinite; a zero eigenvalue is refused as singular
+    rotation = random_orthogonal(2, 4) if rotate else None
+    with pytest.raises(NotPositiveDefiniteError, match=r"^hessian is not positive definite$"):
+        QuadraticProblem(eigenvalues, rotation, np.zeros(2))
+    with pytest.raises(SingularMatrixError):
+        QuadraticProblem([0.0, 2.0], rotation, np.zeros(2))
 
 
 def test_from_matrix_rejects_asymmetric():
@@ -202,7 +218,9 @@ def test_rotated_run_matches_diagonal_run():
 def test_eigen_bounds():
     b = EigenBounds(1.0, 100.0)
     assert b.cond_bar == 100.0
-    assert EigenBounds.from_spectrum(DiagonalSpectrum([2, 8])).cond_bar == 4.0
+    assert EigenBounds.from_spectrum(np.array([2.0, 8.0])).cond_bar == 4.0
+    unsorted = EigenBounds.from_spectrum(np.array([8.0, 2.0, 5.0]))  # the min and the max
+    assert (unsorted.lower, unsorted.upper) == (2.0, 8.0)
     with pytest.raises(InvalidSpectrumError):
         EigenBounds(0.0, 1.0)
     with pytest.raises(InvalidSpectrumError):
