@@ -39,8 +39,6 @@ from .methods import (
 from .problems import (
     EigenBounds,
     QuadraticProblem,
-    gershgorin_upper,
-    gradient,
     make_diagonal_problem,
     make_rotated_problem,
     random_orthogonal,

@@ -314,7 +314,9 @@ def _law_bounds(cfg: RunConfig) -> EigenBounds:
         raise ConfigError(f"field 'cond' must be >= 1, got {cond}")
     if not np.isfinite(cond):  # refused by the spectrum check, which lists every value
         require_storable(n, f"{cfg.spectrum_law} spectrum at n={n}")
-        _checked_spectrum(_law_values(cfg))
+        with np.errstate(invalid="ignore"):  # geomspace to inf multiplies inf by 0
+            values = _law_values(cfg)
+        _checked_spectrum(values)
     return EigenBounds(1.0, cond)
 
 

@@ -15,9 +15,10 @@ hand-written state machines on the dense gradient Hx - b in x-space:
   a*(grad f(x_k) - grad f(x_{k-1}))), with grad f(x_{-1}) replaced by 0 in
   the very first step so that it reproduces the two-sequence iterates.
 
-:func:`dense_run` applies them; :func:`momlab.methods.run` must agree with
-it. Kept free of any shared algebra with :mod:`momlab.spectral` and with
-the eigenbasis kernel, so a formula bug cannot hide in its own check.
+:func:`dense_run` applies them, forming H and b once per call;
+:func:`momlab.methods.run` must agree with it. Kept free of any shared
+algebra with :mod:`momlab.spectral` and with the eigenbasis kernel, so a
+formula bug cannot hide in its own check.
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .methods import MethodKind, MethodParams, run
-from .problems import QuadraticProblem, _as_points, _as_vector, gradient
+from .problems import QuadraticProblem, _as_points, _as_vector
 
 __all__ = [
+    "dense_arrays",
+    "gradient",
+    "gershgorin_upper",
     "power_by_multiplication",
     "eig_2x2",
     "system_matrix",
@@ -43,6 +47,32 @@ __all__ = [
     "DenseTrajectory",
     "dense_run",
 ]
+
+
+def dense_arrays(problem: QuadraticProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(H, b): H = Q' diag(eigenvalues) Q symmetrized as 0.5 (H + H'), or
+    diag(eigenvalues) when Q = I, and b = H x*."""
+    d, q = problem.eigenvalues, problem.rotation
+    if q is None:
+        h = np.diag(d)
+    else:
+        h = (q.T * d) @ q
+        h = 0.5 * (h + h.T)  # exactly symmetric
+    return h, h @ problem.x_star
+
+
+def gradient(dense: tuple[np.ndarray, np.ndarray], x) -> np.ndarray:
+    """grad f(x) = Hx - b from ``dense = dense_arrays(problem)`` for ``x`` of shape
+    (n,), or row by row for a (batch, n) stack, each row bitwise its own gradient."""
+    h, b = dense
+    return np.matmul(h, _as_points(x, b.size, "x")[..., None])[..., 0] - b
+
+
+def gershgorin_upper(problem: QuadraticProblem) -> float:
+    """Row-circle upper bound max_i (H[i,i] + sum_{j!=i} |H[i,j]|) >= lambda_max."""
+    h, _ = dense_arrays(problem)
+    radii = np.abs(h).sum(axis=1) - np.abs(np.diag(h))
+    return float((np.diag(h) + radii).max())
 
 
 @dataclass(frozen=True)
@@ -59,9 +89,13 @@ class IterState:
 
 def init_state(problem: QuadraticProblem, params: MethodParams, x0) -> IterState:
     """State at k = 0 for a start ``x0`` of shape (n,) or a (batch, n) stack."""
-    x0 = _as_points(x0, problem.dimension, "x0")
+    return _init_state(dense_arrays(problem), params, x0)
+
+
+def _init_state(dense, params: MethodParams, x0) -> IterState:
+    x0 = _as_points(x0, dense[1].size, "x0")
     if params.kind is MethodKind.MM:
-        return IterState(x_prev=x0, x_curr=x0, k=0, m_curr=-gradient(problem, x0))
+        return IterState(x_prev=x0, x_curr=x0, k=0, m_curr=-gradient(dense, x0))
     if params.kind is MethodKind.NAG_TWO_SEQUENCE:
         return IterState(x_prev=x0, x_curr=x0, k=0, y_curr=x0)
     if params.kind is MethodKind.NAG_COMPACT:
@@ -71,35 +105,37 @@ def init_state(problem: QuadraticProblem, params: MethodParams, x0) -> IterState
 
 def step(problem: QuadraticProblem, params: MethodParams, state: IterState) -> IterState:
     """Apply one update of the selected recursion."""
+    return _step(dense_arrays(problem), params, state)
+
+
+def _step(dense, params: MethodParams, state: IterState) -> IterState:
     alpha, beta, kind = params.alpha, params.beta, params.kind
-    x = state.x_curr
-    if x.shape[-1] != problem.dimension:
-        raise DimensionMismatchError(
-            f"state dimension {x.shape[-1]} != problem dimension {problem.dimension}"
-        )
+    x, n = state.x_curr, dense[1].size
+    if x.shape[-1] != n:
+        raise DimensionMismatchError(f"state dimension {x.shape[-1]} != problem dimension {n}")
 
     if kind is MethodKind.MM:
         if state.m_curr is None:
             raise ValueError("state carries no running direction; use init_state")
         x_next = x + alpha * state.m_curr
-        m_next = beta * state.m_curr - gradient(problem, x_next)
+        m_next = beta * state.m_curr - gradient(dense, x_next)
         return IterState(x_prev=x, x_curr=x_next, k=state.k + 1, m_curr=m_next)
 
     if kind is MethodKind.HBM:
-        x_next = x - alpha * gradient(problem, x) + beta * (x - state.x_prev)
+        x_next = x - alpha * gradient(dense, x) + beta * (x - state.x_prev)
         return IterState(x_prev=x, x_curr=x_next, k=state.k + 1)
 
     if kind is MethodKind.NAG_TWO_SEQUENCE:
         if state.y_curr is None:
             raise ValueError("state carries no auxiliary sequence; use init_state")
-        y_next = x - alpha * gradient(problem, x)
+        y_next = x - alpha * gradient(dense, x)
         x_next = y_next + beta * (y_next - state.y_curr)
         return IterState(x_prev=x, x_curr=x_next, k=state.k + 1, y_curr=y_next)
 
     if state.g_prev is None:
         raise ValueError("state carries no previous gradient; use init_state")
     # g_prev is 0 at k = 0 by the initialization convention
-    g = gradient(problem, x)
+    g = gradient(dense, x)
     x_next = x - alpha * g + beta * (x - state.x_prev - alpha * (g - state.g_prev))
     return IterState(x_prev=x, x_curr=x_next, k=state.k + 1, g_prev=g)
 
@@ -117,11 +153,12 @@ def dense_run(problem: QuadraticProblem, params: MethodParams, x0, num_steps: in
     """Apply :func:`step` num_steps times and measure every iterate against x*."""
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-    state = init_state(problem, params, x0)
+    dense = dense_arrays(problem)
+    state = _init_state(dense, params, x0)
     iterates = np.empty((num_steps + 1, *state.x_curr.shape))
     iterates[0] = state.x_curr
     for k in range(1, num_steps + 1):
-        state = step(problem, params, state)
+        state = _step(dense, params, state)
         iterates[k] = state.x_curr
     distances = np.linalg.norm(iterates - problem.x_star, axis=-1)
     averages = 0.5 * (iterates[:-1] + iterates[1:])
@@ -159,7 +196,7 @@ def eig_2x2(m) -> tuple[complex, complex]:
 
 
 def _diagonal_entries(problem: QuadraticProblem) -> np.ndarray:
-    h = problem.hessian
+    h, _ = dense_arrays(problem)
     if np.any(h != np.diag(np.diag(h))):
         raise ValueError("problem must have a diagonal hessian")
     return np.diag(h).copy()

@@ -1,21 +1,18 @@
-"""Strictly convex quadratic objectives with exact gradients and minimizers.
+"""Strictly convex quadratic objectives stored as their eigendecomposition.
 
 A problem is f(x) = 1/2 x'Hx - b'x with H symmetric positive definite, so
-grad f(x) = Hx - b and the unique minimizer solves Hx* = b. A problem is its
-eigendecomposition H = Q' diag(eigenvalues) Q and its minimizer x*, the three
-arrays it stores; :func:`momlab.methods.run` iterates in that eigenbasis, and
-the dense ``hessian`` and ``linear_term`` are formed only when asked for.
-The builders hand in an explicit positive spectrum, x* = shift and either no
-rotation or a seeded one from sign-fixed Householder QR, so they need no
-factorization, solve or matrix product. ``QuadraticProblem.from_matrix``
-accepts an arbitrary matrix through one LAPACK ``eigh`` and one solve.
+the unique minimizer solves Hx* = b. A problem stores H = Q' diag(eigenvalues) Q
+as its eigenvalues and Q, and its minimizer x*; :func:`momlab.methods.run`
+iterates in that eigenbasis, and only :mod:`momlab.oracle` forms H, b and the
+gradient. The builders hand in an explicit positive spectrum, x* = shift and
+either no rotation or a seeded one from sign-fixed Householder QR, so they
+need no factorization, solve or matrix product.
 
 Everything is dense, row-major float64, and immutable after construction.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +30,6 @@ __all__ = [
     "make_diagonal_problem",
     "make_rotated_problem",
     "random_orthogonal",
-    "gradient",
-    "gershgorin_upper",
 ]
 
 # A Hessian with min|eig| < SINGULARITY_RTOL * max|eig| is rejected as singular.
@@ -94,20 +89,6 @@ class EigenBounds:
         return cls(float(np.min(spectrum)), float(np.max(spectrum)))
 
 
-def _require_finite(*arrays: np.ndarray) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise InvalidSpectrumError("hessian and linear_term must be finite")
-
-
-def _require_nonsingular(eigenvalues: np.ndarray) -> None:
-    magnitudes = np.abs(eigenvalues)
-    lo, tol = magnitudes.min(), SINGULARITY_RTOL * magnitudes.max()
-    if lo < tol:
-        raise SingularMatrixError(
-            f"smallest eigenvalue magnitude {lo:.3e} below tolerance {tol:.3e}"
-        )
-
-
 def _read_only(x) -> np.ndarray:
     """``x`` as a read-only float array; a writable one is copied, not frozen."""
     a = np.asarray(x, dtype=float)
@@ -135,8 +116,7 @@ class QuadraticProblem:
     ``rotation`` is Q, or None when H is diagonal (Q = I). The eigenvalues
     must pass the singularity test and be positive, and b must be finite,
     which is checked as Q'(eigenvalues * Qx*) in O(n^2) without forming H.
-    ``hessian`` and ``linear_term`` are formed on first access. All arrays
-    are read-only.
+    All arrays are read-only.
     """
 
     eigenvalues: np.ndarray
@@ -156,53 +136,20 @@ class QuadraticProblem:
             object.__setattr__(self, name, value)
         with np.errstate(over="ignore", invalid="ignore"):
             b = eigenvalues * x_star if q is None else q.T @ (eigenvalues * (q @ x_star))
-        _require_finite(eigenvalues, b)  # an overflow of b is rejected as non-finite
-        _require_nonsingular(eigenvalues)
+        if not (np.isfinite(eigenvalues).all() and np.isfinite(b).all()):  # b may overflow
+            raise InvalidSpectrumError("hessian and linear_term must be finite")
+        magnitudes = np.abs(eigenvalues)
+        lo, tol = magnitudes.min(), SINGULARITY_RTOL * magnitudes.max()
+        if lo < tol:
+            raise SingularMatrixError(
+                f"smallest eigenvalue magnitude {lo:.3e} below tolerance {tol:.3e}"
+            )
         if eigenvalues.min() <= 0.0:
             raise NotPositiveDefiniteError("hessian is not positive definite")
-
-    @functools.cached_property
-    def hessian(self) -> np.ndarray:
-        """H = Q' diag(eigenvalues) Q, formed on first access."""
-        d, q = self.eigenvalues, self.rotation
-        if q is None:
-            return _frozen(np.diag(d))
-        h = (q.T * d) @ q
-        return _frozen(0.5 * (h + h.T))  # exactly symmetric
-
-    @functools.cached_property
-    def linear_term(self) -> np.ndarray:
-        """b = H x*, formed on first access."""
-        return _frozen(self.hessian @ self.x_star)
 
     @property
     def dimension(self) -> int:
         return self.eigenvalues.size
-
-    @classmethod
-    def from_matrix(cls, hessian, linear_term) -> "QuadraticProblem":
-        """Accept an arbitrary matrix after symmetry and definiteness checks:
-        one ``eigh`` decides singularity and definiteness, and the problem
-        keeps the symmetrized matrix and the given vector as its H and b."""
-        h = np.array(hessian, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise DimensionMismatchError(f"hessian must be square, got shape {h.shape}")
-        scale = max(float(np.abs(h).max()), 1.0)
-        if np.abs(h - h.T).max() > 1e-12 * scale:
-            raise ValueError("hessian is not symmetric")
-        b = np.array(_as_vector(linear_term, h.shape[0], "linear_term"))
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = 0.5 * (h + h.T)  # exactly symmetric
-        _require_finite(h, b)
-        eigenvalues, vectors = np.linalg.eigh(h)
-        _require_nonsingular(eigenvalues)
-        try:
-            x_star = np.linalg.solve(h, b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"hessian is singular: {exc}") from exc
-        problem = cls(_frozen(eigenvalues), _frozen(vectors.T), _frozen(x_star))
-        problem.__dict__.update(hessian=_frozen(h), linear_term=_frozen(b))  # the cached values
-        return problem
 
 
 def make_diagonal_problem(spectrum) -> QuadraticProblem:
@@ -231,25 +178,6 @@ def make_rotated_problem(spectrum, seed: int, shift) -> QuadraticProblem:
     spectrum = _checked_spectrum(spectrum)
     rotation = _frozen(random_orthogonal(spectrum.size, seed))
     return QuadraticProblem(spectrum, rotation, _as_vector(shift, spectrum.size, "shift"))
-
-
-def gradient(problem: QuadraticProblem, x) -> np.ndarray:
-    """grad f(x) = Hx - b for ``x`` of shape (n,), or row by row for a
-    (batch, n) stack; the result has the shape of ``x``.
-
-    The stacked product runs one matrix-vector product per row, so each row
-    is bitwise equal to the gradient of that row alone.
-    """
-    x = _as_points(x, problem.dimension, "x")
-    return np.matmul(problem.hessian, x[..., None])[..., 0] - problem.linear_term
-
-
-def gershgorin_upper(problem: QuadraticProblem) -> float:
-    """Row-circle upper bound max_i (H[i,i] + sum_{j!=i} |H[i,j]|) >= lambda_max."""
-    h = problem.hessian
-    diag = np.diag(h)
-    radii = np.abs(h).sum(axis=1) - np.abs(diag)
-    return float((diag + radii).max())
 
 
 def _to_eigenbasis(problem: QuadraticProblem, x: np.ndarray) -> np.ndarray:

@@ -81,7 +81,9 @@ def verify_theorem(
 
     For every (cond, eps, seed) cell: run the method with its fixed-parameter
     rule for the computed budget K from a seeded unit-norm start and check
-    ||(x_{K-1}+x_K)/2 - x*|| <= eps * ||x_0 - x*|| with no slack.
+    ||(x_{K-1}+x_K)/2 - x*|| <= eps * ||x_0 - x*|| with no slack. A cell
+    whose ratio is exactly 0 has an underflowed 2-norm: it is marked
+    ``UNDERFLOW``, does not pass, and the summary counts it.
     Precondition violations (cond < 28, eps > 1/cond; each cond's rule before
     its budgets) raise before any cell runs, and so does a run too large to
     store (``MAX_RUN_VALUES``).
@@ -133,15 +135,19 @@ def verify_theorem(
     history = traj.errors.reshape(num_steps + 1, num_seeds, 2, m)
     final = history[np.array(budgets) + [[-1], [0]], :, :, np.arange(m)]
     ratios = _row_norms(0.5 * (final[0] + final[1])) / _row_norms(starts)
-    passed = ratios <= np.array([eps for _, eps in pairs])[:, None]
-    cells = zip(ratios.tolist(), np.where(passed, "PASS", "FAIL").tolist())
+    # a ratio of exactly 0 from a unit start is an underflowed 2-norm, which checks nothing
+    underflowed = ratios == 0.0
+    passed = (ratios <= np.array([eps for _, eps in pairs])[:, None]) & ~underflowed
+    status = np.where(underflowed, "UNDERFLOW", np.where(passed, "PASS", "FAIL"))
+    cells = zip(ratios.tolist(), status.tolist())
     lines = [
         f"{label} cond={cond:g} eps={eps:g} seed={si} K={budget} ratio={ratio:.6e} {status}"
         for (cond, eps), budget, (pair_ratios, pair_status) in zip(pairs, budgets, cells)
         for si, (ratio, status) in enumerate(zip(pair_ratios, pair_status))
     ]
-    num_pass = int(passed.sum())
-    lines.append(f"{label}: {num_pass}/{passed.size} cells passed")
+    num_pass, num_underflowed = int(passed.sum()), int(underflowed.sum())
+    summary = f"{label}: {num_pass}/{passed.size} cells passed"
+    lines.append(summary + (f" ({num_underflowed} underflowed)" if num_underflowed else ""))
     return SweepReport(label=label, passed=num_pass == passed.size, lines=lines)
 
 

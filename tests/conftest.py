@@ -39,8 +39,8 @@ def gram_schmidt_orthogonal(n: int, seed: int) -> np.ndarray:
 def reference_problem_arrays(eigenvalues, rotation, x_star):
     """(H, b) of a problem by the library's former eager formulas: the
     diagonal matrix of the eigenvalues, or Q' diag(eigenvalues) Q
-    symmetrized as 0.5 (H + H'), and b = H @ x*. The reference for the
-    lazily formed ``hessian`` and ``linear_term``, byte for byte."""
+    symmetrized as 0.5 (H + H'), and b = H @ x*. The reference for
+    ``momlab.oracle.dense_arrays``, byte for byte."""
     if rotation is None:
         h = np.diag(eigenvalues)
     else:

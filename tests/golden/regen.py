@@ -12,7 +12,10 @@ Each case runs in-process through ``momlab.cli.main`` in a fresh empty
 directory holding only its config files, so every path a command prints is
 relative and the bytes do not depend on where the check runs. Rotated runs
 go through LAPACK, so the manifest records the numpy version and machine it
-was made on.
+was made on, and the sha256 of the n = 402 rotations: the bits of LAPACK's
+QR at that size depend on the BLAS thread count (``OPENBLAS_NUM_THREADS=1``
+changes them on a 2-CPU x86 host), so a run whose rotations differ names
+that before its failing rotated entries.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from momlab.cli import FIGURE_IDS, VERIFY_IDS, main
+from momlab.problems import random_orthogonal
+from momlab.seeding import ROTATION_STREAM, stream_seed
 
 MANIFEST = Path(__file__).with_name("manifest.json")
 
@@ -46,8 +51,13 @@ def _run_case(config) -> tuple[list[str], dict]:
     return ["run", "--config", "cfg.json"], {"cfg.json": config}
 
 
+# the seeds of the rotated n = 402 cases, whose rotations the manifest fingerprints
+_ROTATED_N, _ROTATED_SEEDS = 402, (5, 6)
+
+
 def _run_cases() -> dict[str, tuple[list[str], dict]]:
-    rotated = {"n": 402, "cond": 1e4, "spectrum_law": "log-uniform", "rotate": True}
+    rotated = {"n": _ROTATED_N, "cond": 1e4, "spectrum_law": "log-uniform", "rotate": True}
+    plain_seed, shift_seed = _ROTATED_SEEDS
     cases = {}
     for method in METHODS:
         alpha, beta = _EXPLICIT[method]
@@ -62,11 +72,11 @@ def _run_cases() -> dict[str, tuple[list[str], dict]]:
              "params": theorem, "eps": 1e-3, "seed": 3}
         )
         cases[f"run rotated n=402 {method}"] = _run_case(
-            {**rotated, "method": method, "params": theorem, "num_steps": 300, "seed": 5}
+            {**rotated, "method": method, "params": theorem, "num_steps": 300, "seed": plain_seed}
         )
         cases[f"run rotated n=402 shift {method}"] = _run_case(
-            {**rotated, "method": method, "params": theorem, "eps": 1e-4, "seed": 6,
-             "shift": [math.sin(i) for i in range(402)]}
+            {**rotated, "method": method, "params": theorem, "eps": 1e-4, "seed": shift_seed,
+             "shift": [math.sin(i) for i in range(_ROTATED_N)]}
         )
         cases[f"run rotated explicit-x0 {method}"] = _run_case(
             {"spectrum": [1, 2, 5, 50, 100], "rotate": True, "shift": [1, -1, 2, 0.5, -3],
@@ -107,6 +117,8 @@ def _verify_cases() -> dict[str, tuple[list[str], dict]]:
         several = ["verify", check, "--cond", "100,28,100,1000", "--eps", "0.001,1e-4"]
         several += ["--seeds", "3"]
         argvs += [several, [*several, "--steps", "3"], [*several, "--seed", "7"]]
+    # every ratio underflows to 0: exit 2, not PASS
+    argvs.append(["verify", "thm1", "--cond", "28", "--eps", "1e-80", "--seeds", "3"])
     argvs.append(
         ["verify", "thm2", "--cond", "50", "--eps", "0.01", "--seeds", "2", "--out", "report.txt"]
     )
@@ -164,6 +176,14 @@ def _error_cases() -> dict[str, tuple[list[str], dict]]:
         "log-uniform n=10**30": _run_case({**explicit, **law, "n": 10**30, "params": theorem}),
         "log-uniform n=30000000000": _run_case(
             {**explicit, **law, "n": 30000000000, "params": theorem}
+        ),
+        # one line listing the values, and no numpy warning before it
+        "log-uniform cond Infinity": _run_case(
+            {**explicit, **law, "n": 5, "cond": math.inf, "params": theorem}
+        ),
+        "two-point cond Infinity": _run_case(
+            {**explicit, **law, "n": 5, "cond": math.inf, "spectrum_law": "two-point",
+             "params": theorem}
         ),
     }
     cases = {f"run error {name}": case for name, case in run_errors.items()}
@@ -241,7 +261,14 @@ def record(argv: list[str], files: dict, workdir: Path) -> dict:
 
 
 def environment() -> dict:
-    return {"numpy": np.__version__, "machine": platform.machine()}
+    rotations = hashlib.sha256()
+    for seed in _ROTATED_SEEDS:
+        rotations.update(random_orthogonal(_ROTATED_N, stream_seed(seed, ROTATION_STREAM)).tobytes())
+    return {
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "rotation_sha256": rotations.hexdigest(),
+    }
 
 
 def build(root: Path) -> dict:

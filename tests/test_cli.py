@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from momlab.cli import (
 )
 from momlab.errors import MAX_RUN_VALUES
 from momlab.methods import MethodKind, MethodParams, run
-from momlab.problems import make_diagonal_problem, make_rotated_problem
+from momlab.problems import make_diagonal_problem
 from momlab.verify import verify_norm_bound, verify_theorem
 
 from conftest import reference_chunked_write_csv, reference_write_csv
@@ -544,6 +545,20 @@ def test_run_refuses_a_spectrum_law_at_a_cond_that_is_not_finite(tmp_path, capsy
             assert main(["run", "--config", str(cfg_path)]) == 3
         assert capsys.readouterr().err == f"momlab: error: {message}\n"
         assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("law", ["two-point", "log-uniform"])
+def test_an_infinite_cond_is_refused_in_one_line_without_a_warning(tmp_path, capsys, law):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"n": 5, "cond": float("inf"), "spectrum_law": law, "params": {"source": "theorem1"},
+         "eps": 0.01}
+    ))
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg_path)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("momlab: error: all eigenvalues must be finite and strictly positive")
 
 
 @pytest.mark.parametrize("rotate", [False, True])
@@ -1243,22 +1258,3 @@ def test_diagonal_run_forms_no_n_by_n_array(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n / 16, peak
-
-
-def test_rotated_run_leaves_hessian_and_linear_term_unformed(tmp_path, monkeypatch):
-    import momlab.cli
-
-    built = []
-
-    def recording(*args):
-        built.append(make_rotated_problem(*args))
-        return built[-1]
-
-    monkeypatch.setattr(momlab.cli, "make_rotated_problem", recording)
-    cfg_path = tmp_path / "cfg.json"
-    _write_config(cfg_path, spectrum=None, n=50, cond=1e3, spectrum_law="log-uniform",
-                  rotate=True, shift=[0.5] * 50, params={"source": "theorem2"}, method="nag",
-                  x0="random-unit", num_steps=40)
-    assert main(["run", "--config", str(cfg_path)]) == 0
-    (problem,) = built
-    assert "hessian" not in problem.__dict__ and "linear_term" not in problem.__dict__

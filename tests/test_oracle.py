@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import momlab.oracle
 from momlab.errors import DimensionMismatchError
 from momlab.methods import MethodKind, MethodParams
 from momlab.oracle import (
+    dense_arrays,
+    dense_run,
     eig_2x2,
     full_system_step_equivalence,
     init_state,
@@ -105,9 +108,10 @@ def test_full_system_equivalence_beta_zero_is_gradient_descent():
     m_hat = system_matrix(p, params)
     z = np.array([1.0, 1.0, 1.0, 1.0])
     x = np.array([1.0, 1.0])
+    h, _ = dense_arrays(p)
     for _ in range(30):
         z = m_hat @ z
-        x = x - 0.1 * (p.hessian @ x)
+        x = x - 0.1 * (h @ x)
     assert np.allclose(z[2:], x, rtol=1e-12, atol=1e-14)
 
 
@@ -142,3 +146,18 @@ def test_hbm_beta_zero_step_is_steepest_descent():
     s = step(p, params, init_state(p, params, [1.0, 1.0]))
     expected = np.array([1.0, 1.0]) - 0.007 * np.array([1.0, 100.0])
     assert np.array_equal(s.x_curr, expected)
+
+
+@pytest.mark.parametrize("kind", list(MethodKind), ids=lambda kind: kind.value)
+def test_dense_run_forms_the_dense_arrays_once(monkeypatch, kind):
+    formed = []
+
+    def counting(problem):
+        formed.append(problem)
+        return dense_arrays(problem)
+
+    monkeypatch.setattr(momlab.oracle, "dense_arrays", counting)
+    p = make_rotated_problem([1.0, 10.0, 100.0], seed=3, shift=[1.0, -1.0, 0.5])
+    traj = dense_run(p, MethodParams(0.01, 0.5, kind), [0.0, 0.0, 0.0], 300)
+    assert traj.iterates.shape == (301, 3)
+    assert formed == [p]

@@ -12,11 +12,10 @@ from momlab.errors import (
     SingularMatrixError,
 )
 from momlab.methods import MethodKind, MethodParams, run
+from momlab.oracle import dense_arrays, gershgorin_upper, gradient
 from momlab.problems import (
     EigenBounds,
     QuadraticProblem,
-    gershgorin_upper,
-    gradient,
     make_diagonal_problem,
     make_rotated_problem,
     random_orthogonal,
@@ -25,14 +24,15 @@ from momlab.problems import (
 
 def test_make_diagonal_problem_basic():
     p = make_diagonal_problem([1, 100])
-    assert np.array_equal(p.hessian, np.diag([1.0, 100.0]))
-    assert np.array_equal(p.linear_term, np.zeros(2))
+    h, b = dense_arrays(p)
+    assert np.array_equal(h, np.diag([1.0, 100.0]))
+    assert np.array_equal(b, np.zeros(2))
     assert np.array_equal(p.x_star, np.zeros(2))
 
 
 def test_make_diagonal_problem_one_d():
     p = make_diagonal_problem([1])
-    assert np.array_equal(p.hessian, np.array([[1.0]]))
+    assert np.array_equal(dense_arrays(p)[0], np.array([[1.0]]))
     assert np.array_equal(p.x_star, np.zeros(1))
 
 
@@ -40,7 +40,7 @@ def test_make_diagonal_problem_keeps_the_spectrum_order():
     # entry i is coordinate i's curvature: nothing is sorted
     p = make_diagonal_problem([5, 2, 3])
     assert np.array_equal(p.eigenvalues, [5.0, 2.0, 3.0])
-    assert np.array_equal(np.diag(p.hessian), [5.0, 2.0, 3.0])
+    assert np.array_equal(np.diag(dense_arrays(p)[0]), [5.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("bad", [[1, -2], [0.0, 1.0], [], [np.nan]])
@@ -54,7 +54,7 @@ def test_invalid_spectra_rejected(bad):
 def test_rotated_problem_preserves_spectrum():
     # characteristic-polynomial identities: trace = sum, det = product
     p = make_rotated_problem([1, 100], seed=3, shift=[0.0, 0.0])
-    h = p.hessian
+    h, _ = dense_arrays(p)
     assert h[0, 1] == h[1, 0]
     assert np.trace(h) == pytest.approx(101.0, abs=1e-10)
     det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
@@ -63,14 +63,16 @@ def test_rotated_problem_preserves_spectrum():
 
 def test_rotated_problem_one_d():
     p = make_rotated_problem([1], seed=11, shift=[4.5])
-    assert p.hessian == pytest.approx(np.array([[1.0]]))
-    assert p.linear_term == pytest.approx(np.array([4.5]))
+    h, b = dense_arrays(p)
+    assert h == pytest.approx(np.array([[1.0]]))
+    assert b == pytest.approx(np.array([4.5]))
 
 
 def test_rotated_gradient_vanishes_at_shift():
     shift = np.array([3.0, -4.0])
     p = make_rotated_problem([1, 100], seed=5, shift=shift)
-    assert np.linalg.norm(gradient(p, shift)) <= 1e-12 * np.linalg.norm(p.linear_term)
+    dense = dense_arrays(p)
+    assert np.linalg.norm(gradient(dense, shift)) <= 1e-12 * np.linalg.norm(dense[1])
 
 
 def test_rotated_minimizer_matches_shift():
@@ -82,26 +84,16 @@ def test_rotated_minimizer_matches_shift():
 
 def test_gradient_examples():
     p = make_diagonal_problem([1, 100])
-    assert np.array_equal(gradient(p, [1.0, 1.0]), [1.0, 100.0])
-    assert np.array_equal(gradient(p, p.x_star), np.zeros(2))
+    assert np.array_equal(gradient(dense_arrays(p), [1.0, 1.0]), [1.0, 100.0])
+    assert np.array_equal(gradient(dense_arrays(p), p.x_star), np.zeros(2))
     q = make_diagonal_problem([2, 3])
-    assert np.array_equal(gradient(q, [-1.0, 2.0]), [-2.0, 6.0])
+    assert np.array_equal(gradient(dense_arrays(q), [-1.0, 2.0]), [-2.0, 6.0])
 
 
 def test_gradient_dimension_mismatch():
     p = make_diagonal_problem([1, 100])
     with pytest.raises(DimensionMismatchError):
-        gradient(p, [1.0, 2.0, 3.0])
-
-
-def test_minimizer_with_linear_term():
-    p = QuadraticProblem.from_matrix(np.array([[1.0]]), np.array([5.0]))
-    assert np.array_equal(p.x_star, [5.0])
-
-
-def test_singular_hessian_rejected():
-    with pytest.raises(SingularMatrixError):
-        QuadraticProblem.from_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros(2))
+        gradient(dense_arrays(p), [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("rotate", [False, True])
@@ -119,29 +111,22 @@ def test_singularity_test_is_rotation_invariant(rotate):
     build(1e11)
 
 
-def test_nearly_singular_dense_hessian_rejected():
-    with pytest.raises(SingularMatrixError):
-        QuadraticProblem.from_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]), np.zeros(2))
+def _from_symmetric(h) -> QuadraticProblem:
+    eigenvalues, vectors = np.linalg.eigh(h)
+    return QuadraticProblem(eigenvalues, vectors.T, np.zeros(len(h)))
 
 
 def test_gershgorin_examples():
     assert gershgorin_upper(make_diagonal_problem([1, 100])) == 100.0
 
-    p = QuadraticProblem.from_matrix([[2.0, -1.0], [-1.0, 2.0]], np.zeros(2))
+    p = _from_symmetric([[2.0, -1.0], [-1.0, 2.0]])
     # analytic eigenvalues 2 -+ 1; the bound is attained here
     assert gershgorin_upper(p) == pytest.approx(3.0, abs=1e-14)
 
-    q = QuadraticProblem.from_matrix([[4.0, 1.0], [1.0, 1.0]], np.zeros(2))
+    q = _from_symmetric([[4.0, 1.0], [1.0, 1.0]])
     lam_max = 0.5 * (5.0 + math.sqrt(25.0 - 4.0 * 3.0))  # quadratic formula
     assert gershgorin_upper(q) == pytest.approx(5.0, abs=1e-14)
     assert gershgorin_upper(q) >= lam_max
-
-
-def test_from_matrix_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError, match=r"^hessian is not positive definite$"):
-        QuadraticProblem.from_matrix([[1.0, 0.0], [0.0, -1.0]], np.zeros(2))
-    with pytest.raises(NotPositiveDefiniteError, match=r"^hessian is not positive definite$"):
-        QuadraticProblem.from_matrix([[1.0, 2.0], [2.0, 1.0]], np.ones(2))  # eigenvalues -1, 3
 
 
 @pytest.mark.parametrize("eigenvalues", [[-1.0, 2.0], [2.0, -1e-3]])
@@ -155,11 +140,6 @@ def test_direct_construction_refuses_a_spectrum_that_is_not_positive(eigenvalues
         QuadraticProblem([0.0, 2.0], rotation, np.zeros(2))
 
 
-def test_from_matrix_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        QuadraticProblem.from_matrix([[1.0, 0.5], [0.2, 1.0]], np.zeros(2))
-
-
 def test_gradient_at_minimizer_invariant():
     cases = [
         make_diagonal_problem([1, 100]),
@@ -167,8 +147,9 @@ def test_gradient_at_minimizer_invariant():
         make_rotated_problem(np.geomspace(0.5, 500.0, 8), seed=17, shift=np.arange(8.0)),
     ]
     for p in cases:
-        lhs = np.linalg.norm(gradient(p, p.x_star))
-        assert lhs <= 1e-9 * (1.0 + np.linalg.norm(p.linear_term))
+        dense = dense_arrays(p)
+        lhs = np.linalg.norm(gradient(dense, p.x_star))
+        assert lhs <= 1e-9 * (1.0 + np.linalg.norm(dense[1]))
 
 
 def test_gershgorin_dominates_spectrum():
@@ -238,20 +219,14 @@ def test_eigen_bounds_refuse_a_ratio_that_overflows():
 def test_problem_arrays_are_read_only():
     p = make_diagonal_problem([1, 100])
     with pytest.raises(ValueError):
-        p.hessian[0, 0] = 7.0
-    with pytest.raises(ValueError):
         p.x_star[0] = 1.0
     with pytest.raises(ValueError):
         p.eigenvalues[0] = 7.0
     shift = np.array([1.0, 2.0])
     rotated = make_rotated_problem([1, 100], seed=1, shift=shift)
-    for name in ("hessian", "linear_term", "x_star", "eigenvalues", "rotation"):
+    for name in ("x_star", "eigenvalues", "rotation"):
         with pytest.raises(ValueError):
             getattr(rotated, name)[0] = 7.0
-    direct = QuadraticProblem.from_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]), np.ones(2))
-    for name in ("hessian", "linear_term", "x_star", "eigenvalues", "rotation"):
-        with pytest.raises(ValueError):
-            getattr(direct, name)[0] = 7.0
     # the caller's shift stays writable: the problem keeps its own copy
     shift[0] = 5.0
     assert rotated.x_star[0] == 1.0
@@ -265,10 +240,11 @@ def test_problems_carry_their_eigendecomposition():
     assert np.array_equal(diagonal.eigenvalues, spectrum)
     rotated = make_rotated_problem(spectrum, seed=9, shift=np.zeros(4))
     assert np.array_equal(rotated.rotation, random_orthogonal(4, 9))
-    direct = QuadraticProblem.from_matrix(rotated.hessian, rotated.linear_term)
+    direct = _from_symmetric(dense_arrays(rotated)[0])
     for p in (rotated, direct):
         q = p.rotation
-        assert np.abs(q.T @ np.diag(p.eigenvalues) @ q - p.hessian).max() <= 1e-12 * 100.0
+        h, _ = dense_arrays(p)
+        assert np.abs(q.T @ np.diag(p.eigenvalues) @ q - h).max() <= 1e-12 * 100.0
     assert np.allclose(direct.eigenvalues, spectrum, rtol=1e-12)
 
 
@@ -276,7 +252,7 @@ def test_a_problem_stores_only_its_eigendecomposition_and_minimizer():
     names = [f.name for f in dataclasses.fields(QuadraticProblem)]
     assert names == ["eigenvalues", "rotation", "x_star"]
     for p in (make_diagonal_problem([1, 100]), make_rotated_problem([1, 100], 3, [1.0, 2.0])):
-        assert "hessian" not in vars(p) and "linear_term" not in vars(p)
+        assert not hasattr(p, "hessian") and not hasattr(p, "linear_term")
         assert p.dimension == 2
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.hessian = np.eye(2)
@@ -294,22 +270,9 @@ def test_hessian_and_linear_term_are_the_eager_formulas_bit_for_bit(n, build):
     else:
         p = make_rotated_problem(spectrum, seed=n + 5, shift=shift)
     h, b = reference_problem_arrays(p.eigenvalues, p.rotation, shift)
-    for got, want in ((p.hessian, h), (p.linear_term, b)):
+    for got, want in zip(dense_arrays(p), (h, b)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        assert not got.flags.writeable
-    assert p.hessian is p.hessian and p.linear_term is p.linear_term  # formed once
-
-
-def test_from_matrix_keeps_the_symmetrized_matrix_and_the_given_vector():
-    h = np.array([[2.0, 1.0 + 2e-16], [1.0, 3.0]])  # symmetric within the tolerance
-    b = np.array([1.0, -2.0])
-    p = QuadraticProblem.from_matrix(h, b)
-    assert p.hessian.tobytes() == (0.5 * (h + h.T)).tobytes()
-    assert p.linear_term.tobytes() == b.tobytes()
-    assert b.flags.writeable and h.flags.writeable  # the caller's arrays stay theirs
-    from_lists = QuadraticProblem.from_matrix(h.tolist(), b.tolist())
-    assert from_lists.hessian.tobytes() == p.hessian.tobytes()
 
 
 def test_direct_construction_validates_its_three_arrays():

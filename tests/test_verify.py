@@ -285,6 +285,21 @@ def test_stacked_theorem_run_matches_the_per_cell_runs(
     )
 
 
+def test_a_theorem_cell_whose_ratio_underflowed_to_zero_does_not_pass():
+    # at eps = 1e-60 the ratio is tiny but normal; at 1e-80 (K = 1385) the
+    # 2-norm of error coordinates near 1e-232 squares to 0
+    tiny = verify.verify_theorem(1, [28.0], [1e-60], 3)
+    assert tiny.passed and tiny.lines[-1] == "thm1: 3/3 cells passed"
+    assert tiny.lines[0].startswith("thm1 cond=28 eps=1e-60 seed=0 K=1041 ratio=2.642111e-139 ")
+    mixed = verify.verify_theorem(1, [28.0], [1e-3, 1e-80], 2)
+    assert not mixed.passed
+    assert [line.rsplit(" ", 1)[1] for line in mixed.lines[:-1]] == [
+        "UNDERFLOW", "UNDERFLOW", "PASS", "PASS"
+    ]
+    assert mixed.lines[0].endswith("K=1385 ratio=0.000000e+00 UNDERFLOW")
+    assert mixed.lines[-1] == "thm1: 2/4 cells passed (2 underflowed)"
+
+
 def test_stacked_theorem_run_makes_one_problem_and_one_run(monkeypatch):
     calls = []
     for name in ("run", "make_diagonal_problem"):
