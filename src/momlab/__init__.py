@@ -39,6 +39,7 @@ from .methods import (
 from .problems import (
     EigenBounds,
     QuadraticProblem,
+    Rotation,
     make_diagonal_problem,
     make_rotated_problem,
     random_orthogonal,

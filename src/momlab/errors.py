@@ -1,10 +1,10 @@
 """Exception types shared across the package, and the storage limit that
 commands check before they allocate."""
 
-# Largest array a command may store: the n * n rotation of a rotated problem
-# (no command forms a dense Hessian), a figure's CSV table, a sweep's
-# (points, kmax) log array and a verify run's (num_steps + 1) * n iterates
-# per start. This caps its memory at a few arrays of 8 * MAX_RUN_VALUES bytes;
+# Largest array a command may store: a rotated problem, charged n * n values
+# although its reflectors hold n(n+1)/2 (no command forms a dense Q or
+# Hessian), a figure's CSV table, a sweep's (points, kmax) log array and a
+# verify run's (num_steps + 1) * n iterates per start. This caps its memory at a few arrays of 8 * MAX_RUN_VALUES bytes;
 # CSV text is written in bounded chunks of rows, so it adds no table-sized
 # string on top. A ``momlab run`` keeps no history: the guard bounds its work.
 MAX_RUN_VALUES = 20_000_000

@@ -30,9 +30,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .methods import MethodKind, MethodParams, run
-from .problems import QuadraticProblem, _as_points, _as_vector
+from .problems import QuadraticProblem, Rotation, _as_points, _as_vector
 
 __all__ = [
+    "rotation_matrix",
     "dense_arrays",
     "gradient",
     "gershgorin_upper",
@@ -49,13 +50,19 @@ __all__ = [
 ]
 
 
+def rotation_matrix(rotation: Rotation) -> np.ndarray:
+    """The dense Q of a rotation: row i is Q'e_i, the identity passed through Q'."""
+    return rotation.apply_transpose(np.eye(rotation.dimension))
+
+
 def dense_arrays(problem: QuadraticProblem) -> tuple[np.ndarray, np.ndarray]:
     """(H, b): H = Q' diag(eigenvalues) Q symmetrized as 0.5 (H + H'), or
     diag(eigenvalues) when Q = I, and b = H x*."""
-    d, q = problem.eigenvalues, problem.rotation
-    if q is None:
+    d = problem.eigenvalues
+    if problem.rotation is None:
         h = np.diag(d)
     else:
+        q = rotation_matrix(problem.rotation)
         h = (q.T * d) @ q
         h = 0.5 * (h + h.T)  # exactly symmetric
     return h, h @ problem.x_star

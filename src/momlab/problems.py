@@ -2,18 +2,20 @@
 
 A problem is f(x) = 1/2 x'Hx - b'x with H symmetric positive definite, so
 the unique minimizer solves Hx* = b. A problem stores H = Q' diag(eigenvalues) Q
-as its eigenvalues and Q, and its minimizer x*; :func:`momlab.methods.run`
-iterates in that eigenbasis, and only :mod:`momlab.oracle` forms H, b and the
-gradient. The builders hand in an explicit positive spectrum, x* = shift and
-either no rotation or a seeded one from sign-fixed Householder QR, so they
-need no factorization, solve or matrix product.
+as its eigenvalues, Q and its minimizer x*; :func:`momlab.methods.run`
+iterates in that eigenbasis, and only :mod:`momlab.oracle` forms H, b, the
+gradient and a dense Q. The builders hand in an explicit positive spectrum,
+x* = shift and either no rotation or a seeded :class:`Rotation`, a product of
+Householder reflectors that is applied to a vector in O(n^2), so they need no
+factorization, solve, matrix product or n x n array.
 
-Everything is dense, row-major float64, and immutable after construction.
+Everything is row-major float64 and immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .errors import (
 __all__ = [
     "EigenBounds",
     "QuadraticProblem",
+    "Rotation",
     "make_diagonal_problem",
     "make_rotated_problem",
     "random_orthogonal",
@@ -109,18 +112,78 @@ def _checked_spectrum(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class Rotation:
+    """An orthogonal Q = H_0 H_1 ... H_{n-2} diag(signs) kept as its
+    Householder reflectors H_k = I - u_k u_k', never as an n x n matrix.
+
+    u_k acts on coordinates k..n-1 (||u_k||^2 = 2 for a reflection);
+    ``reflectors`` packs u_0, ..., u_{n-2} into one flat array of
+    n(n+1)/2 - 1 values, and ``signs`` holds the n entries +-1 of the diagonal
+    factor. Both are read-only; writable inputs are copied.
+    """
+
+    reflectors: np.ndarray
+    signs: np.ndarray
+    _blocks: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        signs = _read_only(_as_vector(self.signs, what="signs"))
+        n = signs.size
+        if n == 0:
+            raise DimensionMismatchError("signs must be non-empty")
+        reflectors = _read_only(_as_vector(self.reflectors, n * (n + 1) // 2 - 1, "reflectors"))
+        if not (np.all(np.abs(signs) == 1.0) and np.isfinite(reflectors).all()):
+            raise ValueError("a rotation needs finite reflectors and signs of +1 or -1")
+        starts = np.cumsum([0, *range(n, 1, -1)])
+        blocks = tuple(reflectors[start:end] for start, end in zip(starts[:-1], starts[1:]))
+        for name, value in (("reflectors", reflectors), ("signs", signs), ("_blocks", blocks)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def dimension(self) -> int:
+        return self.signs.size
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Qx for x of shape (n,), or row by row for a (..., n) stack."""
+        z = np.multiply(x, self.signs, order="C")
+        return self._reflect(z, range(self.dimension - 2, -1, -1))
+
+    def apply_transpose(self, z: np.ndarray) -> np.ndarray:
+        """Q'z for z of shape (n,), or row by row for a (..., n) stack."""
+        x = self._reflect(np.array(z, dtype=float, order="C"), range(self.dimension - 1))
+        x *= self.signs
+        return x
+
+    def _reflect(self, z: np.ndarray, order: range) -> np.ndarray:
+        """Apply H_k for k in ``order`` to the C-ordered ``z`` in place, one
+        1-d dot per reflector; a stack takes that dot row by row as a stacked
+        (rows, 1, m) @ (m, 1) product, so each row is bitwise its own result."""
+        if z.ndim == 1:
+            for k in order:
+                tail, u = z[k:], self._blocks[k]
+                tail -= np.dot(tail, u) * u
+            return z
+        rows = z.reshape(-1, z.shape[-1])
+        for k in order:
+            tail, u = rows[:, k:], self._blocks[k]
+            tail -= np.matmul(tail[:, None], u[:, None])[:, 0] * u
+        return z
+
+
+@dataclass(frozen=True, eq=False)
 class QuadraticProblem:
     """f(x) = 1/2 x'Hx - b'x stored as its eigendecomposition
     H = Q' diag(eigenvalues) Q and its minimizer x*, so that b = Hx*.
 
-    ``rotation`` is Q, or None when H is diagonal (Q = I). The eigenvalues
-    must pass the singularity test and be positive, and b must be finite,
-    which is checked as Q'(eigenvalues * Qx*) in O(n^2) without forming H.
-    All arrays are read-only.
+    ``rotation`` is Q as a :class:`Rotation`, or None when H is diagonal
+    (Q = I). The eigenvalues must pass the singularity test and be positive,
+    and b must be finite, which is checked as Q'(eigenvalues * Qx*) by two
+    reflector passes without forming H (b = 0 when x* = 0). All arrays are
+    read-only.
     """
 
     eigenvalues: np.ndarray
-    rotation: np.ndarray | None
+    rotation: Rotation | None
     x_star: np.ndarray
 
     def __post_init__(self):
@@ -129,13 +192,18 @@ class QuadraticProblem:
         if n == 0:
             raise DimensionMismatchError("eigenvalues must be non-empty")
         x_star = _read_only(_as_vector(self.x_star, n, "x_star"))
-        q = None if self.rotation is None else _read_only(self.rotation)
-        if q is not None and q.shape != (n, n):
-            raise DimensionMismatchError(f"rotation has shape {q.shape}, expected {(n, n)}")
-        for name, value in (("eigenvalues", eigenvalues), ("rotation", q), ("x_star", x_star)):
+        q = self.rotation
+        if q is not None and not isinstance(q, Rotation):
+            raise TypeError(f"rotation must be a Rotation or None, got {type(q).__name__}")
+        if q is not None and q.dimension != n:
+            raise DimensionMismatchError(f"rotation has dimension {q.dimension}, expected {n}")
+        for name, value in (("eigenvalues", eigenvalues), ("x_star", x_star)):
             object.__setattr__(self, name, value)
         with np.errstate(over="ignore", invalid="ignore"):
-            b = eigenvalues * x_star if q is None else q.T @ (eigenvalues * (q @ x_star))
+            if q is not None and x_star.any():
+                b = q.apply_transpose(eigenvalues * q.apply(x_star))
+            else:
+                b = eigenvalues * x_star
         if not (np.isfinite(eigenvalues).all() and np.isfinite(b).all()):  # b may overflow
             raise InvalidSpectrumError("hessian and linear_term must be finite")
         magnitudes = np.abs(eigenvalues)
@@ -158,39 +226,50 @@ def make_diagonal_problem(spectrum) -> QuadraticProblem:
     return QuadraticProblem(spectrum, None, _frozen(np.zeros(spectrum.size)))
 
 
-def random_orthogonal(n: int, seed: int) -> np.ndarray:
-    """Seeded random orthogonal matrix: the Q factor of a Gaussian fill.
+def random_orthogonal(n: int, seed: int) -> Rotation:
+    """Seeded Haar-distributed rotation in reflector form (Stewart 1980).
 
-    Householder QR with each column's sign flipped so that R has a positive
-    diagonal; that is the Q of Gram-Schmidt on the same fill, up to rounding.
+    One ``standard_normal`` call draws n(n+1)/2 values, read in order as
+    blocks x_k of n - k values for k = 0..n-1. For k < n-1 the reflector H_k
+    maps x_k to -s_k ||x_k|| e_1 with s_k = sign(x_k[0]), so
+    u_k = (x_k + s_k ||x_k|| e_1) / sqrt(||x_k|| (||x_k|| + |x_k[0]|)); the
+    signs are (-s_0, ..., -s_{n-2}, sign(x_{n-1})). That is the Q factor of
+    Householder QR, signed so that R has a positive diagonal (Mezzadri 2007),
+    of a Gaussian matrix whose k-th column below the diagonal, after the
+    first k reflections, is x_k: the law of the Q factor of a Gaussian fill.
+    O(n^2) draws and flops, no n x n array, and no BLAS call whose bits
+    depend on the thread count.
     """
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    r_diag = np.diag(r)
-    if np.abs(r_diag).min() < 1e-12:
-        raise RuntimeError("degenerate Gaussian sample while orthonormalizing")
-    q *= np.copysign(1.0, r_diag)
-    return q
+    draws = np.random.default_rng(seed).standard_normal(n * (n + 1) // 2)
+    reflectors, signs = draws[:-1], np.empty(n)
+    start = 0
+    for k in range(n - 1):
+        x = reflectors[start : start + n - k]
+        head, norm = float(x[0]), math.sqrt(np.dot(x, x))
+        signs[k] = -math.copysign(1.0, head)
+        x[0] -= signs[k] * norm
+        x /= math.sqrt(norm * (norm + abs(head)))
+        start += n - k
+    signs[-1] = math.copysign(1.0, draws[-1])
+    return Rotation(_frozen(reflectors), _frozen(signs))
 
 
 def make_rotated_problem(spectrum, seed: int, shift) -> QuadraticProblem:
     """Rotated-and-shifted problem H = Q'DQ, b = H @ shift, so x* = shift."""
     spectrum = _checked_spectrum(spectrum)
-    rotation = _frozen(random_orthogonal(spectrum.size, seed))
+    rotation = random_orthogonal(spectrum.size, seed)
     return QuadraticProblem(spectrum, rotation, _as_vector(shift, spectrum.size, "shift"))
 
 
 def _to_eigenbasis(problem: QuadraticProblem, x: np.ndarray) -> np.ndarray:
-    """Error coordinates z = Q(x - x*) of x of shape (..., n), one
-    matrix-vector product per row, so each row is bitwise its own result."""
+    """Error coordinates z = Q(x - x*) of x of shape (..., n): one reflector
+    pass per row, so each row is bitwise its own result."""
     e = x - problem.x_star
-    if problem.rotation is None:
-        return e
-    return np.matmul(problem.rotation, e[..., None])[..., 0]
+    return e if problem.rotation is None else problem.rotation.apply(e)
 
 
 def _from_eigenbasis(problem: QuadraticProblem, z: np.ndarray) -> np.ndarray:
     """Points x = x* + Q'z of error coordinates z of shape (..., n), row by row."""
     if problem.rotation is not None:
-        z = np.matmul(problem.rotation.T, z[..., None])[..., 0]
+        z = problem.rotation.apply_transpose(z)
     return problem.x_star + z

@@ -5,7 +5,7 @@ with splitmix64-style mixing: each path component is folded in with the
 golden-ratio increment and the splitmix64 finalizer. The fixed component
 ids are
 
-    0  problem rotation
+    0  problem rotation (the n(n+1)/2 normals of its Householder reflectors)
     1  starting point x0 (extended by cell indices in verification sweeps)
 
 so any implementation that reproduces ``stream_seed`` reproduces the runs.

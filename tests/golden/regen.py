@@ -10,11 +10,9 @@ rewrites the manifest and names each changed entry in CHANGES.md:
 
 Each case runs in-process through ``momlab.cli.main`` in a fresh empty
 directory holding only its config files, so every path a command prints is
-relative and the bytes do not depend on where the check runs. Rotated runs
-go through LAPACK, so the manifest records the numpy version and machine it
-was made on, and the sha256 of the n = 402 rotations: the bits of LAPACK's
-QR at that size depend on the BLAS thread count (``OPENBLAS_NUM_THREADS=1``
-changes them on a 2-CPU x86 host), so a run whose rotations differ names
+relative and the bytes do not depend on where the check runs. The manifest
+records the numpy version and machine it was made on, and the sha256 of the
+stored arrays of the n = 402 rotations, so a run whose rotations differ names
 that before its failing rotated entries.
 """
 
@@ -263,7 +261,8 @@ def record(argv: list[str], files: dict, workdir: Path) -> dict:
 def environment() -> dict:
     rotations = hashlib.sha256()
     for seed in _ROTATED_SEEDS:
-        rotations.update(random_orthogonal(_ROTATED_N, stream_seed(seed, ROTATION_STREAM)).tobytes())
+        rotation = random_orthogonal(_ROTATED_N, stream_seed(seed, ROTATION_STREAM))
+        rotations.update(rotation.reflectors.tobytes() + rotation.signs.tobytes())
     return {
         "numpy": np.__version__,
         "machine": platform.machine(),

@@ -25,7 +25,7 @@ from momlab.methods import (
     theorem1_params,
     theorem2_params,
 )
-from momlab.oracle import eig_2x2
+from momlab.oracle import eig_2x2, rotation_matrix
 from momlab.problems import (
     EigenBounds,
     make_diagonal_problem,
@@ -304,7 +304,7 @@ def test_criterion_10_equivalences_and_rotation_invariance():
     seed = 33
     rotated = make_rotated_problem(spectrum, seed=seed, shift=shift)
     diagonal = make_diagonal_problem(spectrum)
-    rotation = random_orthogonal(5, seed)
+    rotation = rotation_matrix(random_orthogonal(5, seed))
     v = np.array([1.0, 1.0, -1.0, 0.5, 2.0])
     params = MethodParams(1.9 / 100.0, 0.85, MethodKind.HBM)
     t_rot = run(rotated, params, shift + rotation.T @ v, 150)

@@ -479,7 +479,7 @@ def test_run_refuses_a_run_too_large_to_store(tmp_path, capsys, monkeypatch, pat
 
 
 def test_run_refuses_a_rotation_too_large_to_store(tmp_path, capsys, monkeypatch):
-    # (num_steps + 1) * n is small, but the n x n rotation is not
+    # (num_steps + 1) * n is small, but the n * n values a rotation is charged are not
     import momlab.cli
 
     def no_allocation(*args, **kwargs):

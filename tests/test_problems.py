@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import gram_schmidt_orthogonal, reference_problem_arrays
+from conftest import reference_problem_arrays, reference_rotation, reflector_form
 
 from momlab.errors import (
     DimensionMismatchError,
@@ -12,10 +16,11 @@ from momlab.errors import (
     SingularMatrixError,
 )
 from momlab.methods import MethodKind, MethodParams, run
-from momlab.oracle import dense_arrays, gershgorin_upper, gradient
+from momlab.oracle import dense_arrays, gershgorin_upper, gradient, rotation_matrix
 from momlab.problems import (
     EigenBounds,
     QuadraticProblem,
+    Rotation,
     make_diagonal_problem,
     make_rotated_problem,
     random_orthogonal,
@@ -113,7 +118,7 @@ def test_singularity_test_is_rotation_invariant(rotate):
 
 def _from_symmetric(h) -> QuadraticProblem:
     eigenvalues, vectors = np.linalg.eigh(h)
-    return QuadraticProblem(eigenvalues, vectors.T, np.zeros(len(h)))
+    return QuadraticProblem(eigenvalues, reflector_form(vectors.T), np.zeros(len(h)))
 
 
 def test_gershgorin_examples():
@@ -163,20 +168,62 @@ def test_gershgorin_dominates_spectrum():
 
 
 def test_random_orthogonal_deterministic_and_orthogonal():
-    q1 = random_orthogonal(6, seed=123)
-    q2 = random_orthogonal(6, seed=123)
-    assert np.array_equal(q1, q2)
+    r1, r2 = random_orthogonal(6, seed=123), random_orthogonal(6, seed=123)
+    assert np.array_equal(r1.reflectors, r2.reflectors) and np.array_equal(r1.signs, r2.signs)
+    q1 = rotation_matrix(r1)
+    assert np.array_equal(q1, rotation_matrix(r2))
     assert np.abs(q1.T @ q1 - np.eye(6)).max() <= 1e-12
-    assert not np.allclose(q1, random_orthogonal(6, seed=124))
+    assert not np.allclose(q1, rotation_matrix(random_orthogonal(6, seed=124)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 60, 400])
-def test_random_orthogonal_matches_gram_schmidt(n):
-    q = random_orthogonal(n, seed=n + 3)
-    ref = gram_schmidt_orthogonal(n, seed=n + 3)
+def test_random_orthogonal_matches_the_rank_one_reference(n):
+    rotation = random_orthogonal(n, seed=n + 3)
+    assert rotation.reflectors.shape == (n * (n + 1) // 2 - 1,)
+    q = rotation_matrix(rotation)
+    ref = reference_rotation(n, seed=n + 3)
     assert np.abs(q - ref).max() <= 1e-12
     # the same column signs, not merely the same columns up to sign
     assert np.all(np.sign(np.einsum("ij,ij->j", q, ref)) == 1.0)
+
+
+def test_random_orthogonal_is_haar_at_n_3():
+    # Haar Q: every entry has mean 0 and mean square 1/n, and det Q = +-1 both occur
+    qs = np.array([rotation_matrix(random_orthogonal(3, seed)) for seed in range(2000)])
+    assert np.abs(qs.mean(axis=0)).max() <= 0.05
+    assert np.abs((qs**2).mean(axis=0) - 1.0 / 3.0).max() <= 0.05
+    assert set(np.sign(np.linalg.det(qs))) == {-1.0, 1.0}
+
+
+_ROTATION_HASH = """
+import hashlib, numpy as np
+from momlab.problems import make_rotated_problem, _to_eigenbasis
+from momlab.seeding import ROTATION_STREAM, stream_seed
+n = 402
+p = make_rotated_problem(np.geomspace(1.0, 1e4, n), stream_seed(5, ROTATION_STREAM), np.zeros(n))
+x = np.sin(np.arange(3.0 * n)).reshape(3, n)
+digest = hashlib.sha256()
+for a in (p.rotation.reflectors, p.rotation.signs, _to_eigenbasis(p, x[0]), _to_eigenbasis(p, x)):
+    digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_rotation_bits_do_not_depend_on_the_blas_thread_count():
+    # LAPACK QR at n = 402 changed its bits with OPENBLAS_NUM_THREADS=1
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = subprocess.run(
+            [sys.executable, "-c", _ROTATION_HASH], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        digests.append(out.stdout)
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
 
 
 def test_rotated_run_matches_diagonal_run():
@@ -186,7 +233,7 @@ def test_rotated_run_matches_diagonal_run():
     seed = 21
     rotated = make_rotated_problem(spectrum, seed=seed, shift=shift)
     diagonal = make_diagonal_problem(spectrum)
-    q = random_orthogonal(5, seed)
+    q = rotation_matrix(random_orthogonal(5, seed))
     v = np.array([1.0, 1.0, -1.0, 0.5, 2.0])
 
     params = MethodParams(1.9 / 100.0, 0.85, MethodKind.HBM)
@@ -224,9 +271,12 @@ def test_problem_arrays_are_read_only():
         p.eigenvalues[0] = 7.0
     shift = np.array([1.0, 2.0])
     rotated = make_rotated_problem([1, 100], seed=1, shift=shift)
-    for name in ("x_star", "eigenvalues", "rotation"):
+    for a in (rotated.x_star, rotated.eigenvalues, rotated.rotation.reflectors,
+              rotated.rotation.signs):
         with pytest.raises(ValueError):
-            getattr(rotated, name)[0] = 7.0
+            a[0] = 7.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rotated.rotation.signs = np.ones(2)
     # the caller's shift stays writable: the problem keeps its own copy
     shift[0] = 5.0
     assert rotated.x_star[0] == 1.0
@@ -239,10 +289,12 @@ def test_problems_carry_their_eigendecomposition():
     assert diagonal.rotation is None
     assert np.array_equal(diagonal.eigenvalues, spectrum)
     rotated = make_rotated_problem(spectrum, seed=9, shift=np.zeros(4))
-    assert np.array_equal(rotated.rotation, random_orthogonal(4, 9))
+    seeded = random_orthogonal(4, 9)
+    assert np.array_equal(rotated.rotation.reflectors, seeded.reflectors)
+    assert np.array_equal(rotated.rotation.signs, seeded.signs)
     direct = _from_symmetric(dense_arrays(rotated)[0])
     for p in (rotated, direct):
-        q = p.rotation
+        q = rotation_matrix(p.rotation)
         h, _ = dense_arrays(p)
         assert np.abs(q.T @ np.diag(p.eigenvalues) @ q - h).max() <= 1e-12 * 100.0
     assert np.allclose(direct.eigenvalues, spectrum, rtol=1e-12)
@@ -269,7 +321,8 @@ def test_hessian_and_linear_term_are_the_eager_formulas_bit_for_bit(n, build):
         p = QuadraticProblem(spectrum, None, shift)
     else:
         p = make_rotated_problem(spectrum, seed=n + 5, shift=shift)
-    h, b = reference_problem_arrays(p.eigenvalues, p.rotation, shift)
+    q = None if p.rotation is None else rotation_matrix(p.rotation)
+    h, b = reference_problem_arrays(p.eigenvalues, q, shift)
     for got, want in zip(dense_arrays(p), (h, b)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -277,21 +330,35 @@ def test_hessian_and_linear_term_are_the_eager_formulas_bit_for_bit(n, build):
 
 def test_direct_construction_validates_its_three_arrays():
     q = random_orthogonal(3, 1)
-    with pytest.raises(DimensionMismatchError, match="rotation has shape"):
-        QuadraticProblem([1.0, 2.0, 3.0], q[:2], np.zeros(3))
+    with pytest.raises(DimensionMismatchError, match="rotation has dimension 2, expected 3"):
+        QuadraticProblem([1.0, 2.0, 3.0], random_orthogonal(2, 1), np.zeros(3))
+    with pytest.raises(TypeError, match="rotation must be a Rotation or None, got ndarray"):
+        QuadraticProblem([1.0, 2.0, 3.0], rotation_matrix(q), np.zeros(3))
     with pytest.raises(DimensionMismatchError, match="x_star has length 2"):
         QuadraticProblem([1.0, 2.0, 3.0], q, np.zeros(2))
     with pytest.raises(DimensionMismatchError, match="non-empty"):
         QuadraticProblem([], None, [])
     with pytest.raises(SingularMatrixError):
         QuadraticProblem([1.0, 1e13], None, np.zeros(2))
-    # b = Q'(d * Q x*) overflows without forming H: [nan, inf, nan] here
+    # b = Q'(d * Q x*) overflows without forming H
     with pytest.raises(InvalidSpectrumError, match="must be finite"):
         QuadraticProblem(np.geomspace(1.0, 100.0, 3), random_orthogonal(3, 2), [1e308] * 3)
     with pytest.raises(InvalidSpectrumError, match="must be finite"):
         QuadraticProblem([1.0, np.inf], None, np.zeros(2))
     # the caller's arrays are copied, not frozen
-    d, x = np.array([1.0, 2.0, 3.0]), np.ones(3)
-    p = QuadraticProblem(d, q, x)
-    d[0] = x[0] = q[0, 0] = 7.0
-    assert p.eigenvalues[0] == 1.0 and p.x_star[0] == 1.0 and p.rotation[0, 0] != 7.0
+    d, x, u = np.array([1.0, 2.0, 3.0]), np.ones(3), q.reflectors.copy()
+    p = QuadraticProblem(d, Rotation(u, q.signs), x)
+    d[0] = x[0] = u[0] = 7.0
+    assert p.eigenvalues[0] == 1.0 and p.x_star[0] == 1.0 and p.rotation.reflectors[0] != 7.0
+
+
+def test_a_rotation_validates_its_two_arrays():
+    with pytest.raises(DimensionMismatchError, match="reflectors has length 4, expected 5"):
+        Rotation(np.ones(4), np.ones(3))
+    with pytest.raises(DimensionMismatchError, match="signs must be non-empty"):
+        Rotation(np.empty(0), np.empty(0))
+    for reflectors, signs in (([1.0, 1.0], [1.0, 0.5]), ([1.0, np.nan], [1.0, -1.0])):
+        with pytest.raises(ValueError, match="finite reflectors and signs of"):
+            Rotation(reflectors, signs)
+    one = Rotation(np.empty(0), [-1.0])  # n = 1: no reflector, Q = [-1]
+    assert one.apply(np.array([2.0])).tolist() == [-2.0]

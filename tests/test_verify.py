@@ -268,6 +268,7 @@ def test_complex_spectral_norm_2x2_is_within_one_ulp_of_the_former_norm(fine_gri
         ([8600.0, 28.0, 450.0], [1.0 / 8600.0], 1, 0, None),
         ([100.0, 28.0, 1000.0], [1e-3, 1e-4], 2, 3, 3),  # every cell fails
         ([28.0, 100.0], [0.01], 2, 4, 1),
+        ([28.0], [1e-80], 1, 0, None),  # the ratio underflows to 0: UNDERFLOW
     ],
 )
 def test_stacked_theorem_run_matches_the_per_cell_runs(
