@@ -6,7 +6,9 @@ Euclidean distance to the minimizer, the certified budgets are
     heavy-ball:  K = 1 + ceil(sqrt(2c) * ln(2/eps))   (theorem1_budget)
     accelerated: K = 1 + ceil(2*sqrt(c) * ln(2/eps))  (theorem2_budget)
 
-valid for c >= 28 and 0 < eps <= 1/c. After K steps the averaged iterate
+valid for c >= 28 and 0 < eps <= 1/c, with the ceiling taken of the real
+value at the given floats: it is decided exactly when the float product lies
+within its rounding error of an integer. After K steps the averaged iterate
 (x_{K-1} + x_K)/2 is within eps * ||x_0 - x*|| of the minimizer. The
 accelerated rule is the heavy-ball rule with c replaced by 2c, reflecting
 its halved step length, and ``theorem2_budget`` computes it that way: it
@@ -40,15 +42,28 @@ __all__ = [
 # The budgets and the fixed-parameter rules are only certified for cond_bar >= 28.
 MIN_COND_BAR = 28.0
 
-# Guard against floating noise next to an integer before taking ceil or floor.
-_INTEGER_GUARD = 1e-9
 
+def _exact_ceil(steps: float, scale: float, eps: float) -> int:
+    """ceil(sqrt(scale) * ln(2/eps)) for the real values of the given floats;
+    ``steps`` is that product in float64.
 
-def _guarded_ceil(x: float) -> int:
-    nearest = round(x)
-    if abs(x - nearest) <= _INTEGER_GUARD:
-        return int(nearest)
-    return int(math.ceil(x))
+    math.sqrt, 2/eps and the product each round once, and math.log errs by
+    under one ulp, so to first order (u = 2^-53) steps lies within 4u|steps| of
+    sqrt(scale) times ln of the rounded quotient, itself within
+    u sqrt(scale) of the real value. Farther than 8u(|steps| + sqrt(scale))
+    from an integer, steps has the real ceiling. Nearer, the real value is
+    taken at 40 digits with ``decimal``, whose sqrt and ln are correctly
+    rounded. It is transcendental unless eps = 2 (then 0), so it is never an
+    integer, and 40 digits miss its side only within about 1e-38 of one.
+    """
+    if abs(steps - round(steps)) > 4.0 * math.ulp(1.0) * (abs(steps) + math.sqrt(scale)):  # 8u
+        return math.ceil(steps)
+    from decimal import ROUND_CEILING, Decimal, localcontext
+
+    with localcontext() as context:
+        context.prec = 40
+        real = Decimal(scale).sqrt() * (2 / Decimal(eps)).ln()
+    return int(real.to_integral_value(rounding=ROUND_CEILING))
 
 
 @dataclass(frozen=True)
@@ -96,10 +111,11 @@ def theorem1_budget(cond_bar: float, eps: float, *, strict: bool = True) -> Comp
     certified range.
     """
     _check_budget_preconditions(cond_bar, eps, strict)
-    steps = math.sqrt(2.0 * cond_bar) * math.log(2.0 / eps)
+    scale = 2.0 * cond_bar
+    steps = math.sqrt(scale) * math.log(2.0 / eps)
     if not math.isfinite(steps):  # 2/eps overflows for eps below ~1.1e-308
         raise PreconditionError(f"budget sqrt(2c) ln(2/eps) is not finite at eps={eps:g}")
-    budget = 1 + _guarded_ceil(steps)
+    budget = 1 + _exact_ceil(steps, scale, eps)
     delta = 1.0 / math.sqrt(2.0 * cond_bar)
     return ComplexityReport(
         cond_bar=cond_bar,

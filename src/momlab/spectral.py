@@ -14,8 +14,16 @@ part), and spectral radius
     rho = sqrt(c)              if t^2 < 4c   (complex conjugate pair)
     rho = (|t| + gamma) / 2    otherwise.
 
-The module also provides the eigenvector-basis condition number (which blows
-up at the double root), the well-conditioned Schur triangularization
+The regime is read from one discriminant, t^2 - 4c with t^2 split exactly
+(``_discriminant``): DOUBLE_ROOT where it lies within the rounding that
+forming the block from (alpha_i, beta) can put into it (the ``slack`` of
+``analyze_hbm``/``analyze_nag``), REAL_PAIR above that and COMPLEX_PAIR
+below. |gamma| is the square root of the same value, and ``block_power``
+branches on its exact sign.
+
+The module also provides the eigenvector-basis condition number
+cond(S) = mu_+ / |gamma| (infinite at the double root), the well-conditioned
+Schur triangularization
 T R T^{-1} with cond(T) <= 3, exact powers R^k (cumulative-product cross
 sums, O(k)) and block^k (the Chebyshev closed form in real arithmetic, O(1),
 kept in log magnitude so deep powers underflow to 0.0 rather than leave
@@ -34,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import _INTEGER_GUARD
 from .errors import DomainError, InternalConsistencyError
 
 __all__ = [
@@ -56,7 +63,6 @@ __all__ = [
     "COMPLEX_PAIR",
     "REAL_PAIR",
     "DOUBLE_ROOT",
-    "DOUBLE_ROOT_TOL",
     "ALPHA_I_MAX",
 ]
 
@@ -64,8 +70,8 @@ COMPLEX_PAIR = "complex_pair"
 REAL_PAIR = "real_pair"
 DOUBLE_ROOT = "double_root"
 
-# |t^2 - 4c| below this is treated as a double eigenvalue (Jordan path).
-DOUBLE_ROOT_TOL = 1e-12
+# Unit roundoff of float64.
+_U = 2.0**-53
 
 # Admissible normalized step a_i = alpha * D_ii for the heavy-ball block.
 ALPHA_I_MAX = 2.0
@@ -140,11 +146,39 @@ def nag_block(alpha_i: float, beta: float) -> np.ndarray:
     return analyze_nag(alpha_i, beta).block()
 
 
-def _classify(trace: np.ndarray, product: np.ndarray):
-    """gamma, l_+, l_-, rho, regime of [[0,1],[-product, trace]] by discriminant sign."""
-    disc = trace * trace - 4.0 * product
-    double = np.abs(disc) <= DOUBLE_ROOT_TOL
-    real = ~double & (disc > 0.0)
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
+_SPLIT_MAX = 2.0**500  # past this the split overflows; t^2 dwarfs its rounding
+
+
+def _discriminant(t, d):
+    """t^2 - 4d with t^2 = hi + lo split exactly (Dekker), so a discriminant
+    near zero keeps its relative accuracy instead of an error of eps * t^2.
+
+    One expression for Python floats (``block_power``'s path, which makes no
+    numpy call) and for arrays elementwise (``_classify``, which holds the
+    errstate for |t| >= 2^512); only the choice of the split value differs.
+    A |t| >= _SPLIT_MAX or a non-finite t is not split: lo is 0.0 there.
+    """
+    if isinstance(t, float):
+        ts = t if abs(t) < _SPLIT_MAX else 0.0
+    else:
+        ts = np.where(np.abs(t) < _SPLIT_MAX, t, 0.0)
+    c = _SPLIT * ts
+    th = c - (c - ts)
+    tl = ts - th
+    lo = ((th * th - ts * ts) + 2.0 * th * tl) + tl * tl
+    return (t * t - 4.0 * d) + lo
+
+
+def _classify(trace: np.ndarray, product: np.ndarray, slack):
+    """gamma, l_+, l_-, rho, regime of [[0,1],[-product, trace]] from one
+    discriminant: DOUBLE_ROOT where |disc| <= slack, REAL_PAIR where
+    disc > slack, COMPLEX_PAIR otherwise, and |gamma| = sqrt|disc|. A disc
+    that overflowed to inf is a real pair, even where the slack did too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = _discriminant(trace, product)
+        double = (np.abs(disc) <= slack) & np.isfinite(disc)
+        real = ~double & (disc > 0.0)
     pair = ~(double | real)
     g = np.sqrt(np.abs(disc))
     half_trace = 0.5 * trace
@@ -157,15 +191,23 @@ def _classify(trace: np.ndarray, product: np.ndarray):
     return _complex(np.where(real, g, 0.0), np.where(pair, g, 0.0)), lp, lm, rho, regime
 
 
-def _companion(alpha_i, beta, trace, product) -> BlockSpectrum:
+def _companion(alpha_i, beta, trace, product, slack) -> BlockSpectrum:
     """Spectrum of the blocks [[0, 1], [-product, trace]] at (alpha_i, beta)."""
     trace, product = np.broadcast_arrays(np.asarray(trace, float), np.asarray(product, float))
-    eigen = (_scalar(x) for x in _classify(trace, product))
+    eigen = (_scalar(x) for x in _classify(trace, product, slack))
     return BlockSpectrum(alpha_i, beta, _scalar(trace), _scalar(product), *eigen)
 
 
 def analyze_hbm(alpha_i, beta, *, strict: bool = True) -> BlockSpectrum:
-    """Spectral analysis of the heavy-ball block at floats or ndarrays (alpha_i, beta)."""
+    """Spectral analysis of the heavy-ball block at floats or ndarrays (alpha_i, beta).
+
+    The block is a double root where |t^2 - 4 beta| <= 8u(|t|(1 + beta + |alpha_i|)
+    + beta), u = 2^-53. To first order, alpha_i and beta each known to one
+    rounding and t = (1 + beta) - alpha_i rounded twice give
+    |dt| <= u(1 + 2 beta + |alpha_i| + |t|) <= 3u(1 + beta + |alpha_i|) and
+    |d(4 beta)| <= 4u beta, so t^2 - 4 beta moves by at most 2|t||dt| + 4u beta
+    <= 6u|t|(1 + beta + |alpha_i|) + 4u beta; the bound rounds that up.
+    """
     _check(beta, lambda b: (0.0 <= b) & (b < 1.0), "beta must lie in [0, 1)")
     bad = _first_outside(alpha_i, lambda a: (0.0 < a) & (a <= ALPHA_I_MAX))
     if bad is not None and strict:
@@ -175,28 +217,47 @@ def analyze_hbm(alpha_i, beta, *, strict: bool = True) -> BlockSpectrum:
             f"alpha_i={bad} outside (0, {ALPHA_I_MAX:g}]; continuing (strict=False)",
             stacklevel=2,
         )
-    return _companion(alpha_i, beta, 1.0 + beta - alpha_i, beta)
+    trace = 1.0 + beta - alpha_i
+    with np.errstate(over="ignore"):  # an |alpha_i| near the float64 limit (strict=False)
+        slack = 8.0 * _U * (np.abs(trace) * (1.0 + beta + np.abs(alpha_i)) + beta)
+    return _companion(alpha_i, beta, trace, beta, slack)
 
 
 def analyze_nag(alpha_i, beta) -> BlockSpectrum:
-    """Spectral analysis of the accelerated-gradient block at floats or ndarrays (alpha_i, beta)."""
+    """Spectral analysis of the accelerated-gradient block at floats or ndarrays (alpha_i, beta).
+
+    The block is a double root where |t^2 - 4d| <= 10u w (|t|(1 + beta) + 2 beta),
+    u = 2^-53 and w = |1 - alpha_i| + alpha_i (1 for alpha_i <= 1). To first
+    order, alpha_i and beta each known to one rounding and m = 1 - alpha_i,
+    1 + beta, t = (1 + beta) m and d = beta m each rounded once give
+    |dm| <= u w, |dt| <= 4u w (1 + beta) and |dd| <= 3u w beta, so t^2 - 4d
+    moves by at most 2|t||dt| + 4|dd| <= 8u w (|t|(1 + beta) + 1.5 beta); the
+    bound rounds that up.
+    """
     _check(beta, lambda b: (0.0 <= b) & (b < 1.0), "beta must lie in [0, 1)")
     _check(alpha_i, lambda a: a > 0.0, "alpha_i must be positive")
     one_minus = 1.0 - alpha_i
-    return _companion(alpha_i, beta, (1.0 + beta) * one_minus, beta * one_minus)
+    with np.errstate(over="ignore"):  # an alpha_i near the float64 limit
+        trace = (1.0 + beta) * one_minus
+        w = np.abs(one_minus) + alpha_i
+        slack = 10.0 * _U * w * (np.abs(trace) * (1.0 + beta) + 2.0 * beta)
+    return _companion(alpha_i, beta, trace, beta * one_minus, slack)
 
 
 def eigvec_condition(spec: BlockSpectrum):
     """2-norm condition of the eigenvector basis S = [[1, 1], [l_+, l_-]].
 
-    Computed from the closed-form eigenvalues mu_pm of S^H S:
+    The eigenvalues mu_pm of S^H S multiply to |det S|^2 = |gamma|^2, so
+    cond(S) = sqrt(mu_+ / mu_-) = mu_+ / |gamma|, with no cancelling mu_-.
+    mu_+ = mid + half_span in closed form:
 
-    * real gamma > 0:  mu_pm = 1 + (t^2 + g^2)/4 +- sqrt(t^2 g^2 + 4(1+c)^2)/2
-    * imaginary gamma: mu_pm = 1 + c +- |1 + l_+^2|
+    * real gamma:  mid = 1 + (t^2 + g^2)/4, half_span = sqrt(t^2 g^2 + 4(1+c)^2)/2
+    * otherwise:   mid = 1 + c,             half_span = |1 + l_+^2|
 
     with t the trace and c the determinant of the block. Returns +inf at the
-    double root, where the eigenvector basis degenerates. Squares are libm ``pow``
-    and |1 + l_+^2| is formed from real parts, as in CPython's float/complex ops.
+    double root (gamma = 0), where the eigenvector basis degenerates. Squares
+    are libm ``pow`` and |1 + l_+^2| is formed from real parts, as in CPython's
+    float/complex ops.
     """
     t, c = np.asarray(spec.beta_i, dtype=float), np.asarray(spec.product, dtype=float)
     g2 = np.float_power(np.real(spec.gamma), 2)
@@ -208,10 +269,8 @@ def eigvec_condition(spec: BlockSpectrum):
         0.5 * np.sqrt(t * t * g2 + 4.0 * np.float_power(1.0 + c, 2)),
         np.hypot(1.0 + (x * x - y * y), x * y + y * x),
     )
-    mu_minus = mid - half_span
-    degenerate = (np.asarray(spec.regime) == DOUBLE_ROOT) | (mu_minus <= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _scalar(np.where(degenerate, np.inf, np.sqrt((mid + half_span) / mu_minus)))
+    with np.errstate(divide="ignore"):
+        return _scalar((mid + half_span) / np.abs(spec.gamma))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,26 +339,10 @@ def r_power(spec: BlockSpectrum, k: int) -> np.ndarray:
 
 # lambda_+ + lambda_- and lambda_+ * lambda_- must match the trace and the
 # determinant to this tolerance, relative to (1 + |l_+| + |l_-|)^2, for the
-# spectrum to belong to its block. The double-root snap l_+ = l_- = t/2 moves
-# the product by at most DOUBLE_ROOT_TOL / 4; a foreign eigenvalue pair by more.
+# spectrum to belong to its block. Rounding stays far below it, and so does
+# the double-root snap l_+ = l_- = t/2, which moves the product by
+# |t^2 - 4d| / 4 <= slack / 4, under 5e-15 on the admissible domain.
 _EIGEN_TOL = 1e-10
-
-_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
-_SPLIT_MAX = 2.0**500  # past this the split overflows; t^2 dwarfs its rounding
-
-
-def _discriminant(t: float, d: float) -> float:
-    """t^2 - 4d with t^2 = hi + lo split exactly (Dekker), so a discriminant
-    near zero keeps its relative accuracy instead of an error of eps * t^2."""
-    hi = t * t
-    lo = 0.0
-    if abs(t) < _SPLIT_MAX:
-        c = _SPLIT * t
-        th = c - (c - t)
-        tl = t - th
-        lo = ((th * th - hi) + 2.0 * th * tl) + tl * tl
-    return (hi - 4.0 * d) + lo
-
 
 def _log(x: float) -> float:
     """log x for x >= 0, with log 0 = -inf."""
@@ -480,6 +523,10 @@ def snapped_double_root(alpha_i: float) -> tuple[float, float]:
     s = round(math.sqrt(alpha_i) * (1 << 20)) / (1 << 20)
     lam = 1.0 - s
     return s * s, lam * lam
+
+
+# Guard against floating noise next to an integer before taking the floor.
+_INTEGER_GUARD = 1e-9
 
 
 def parameter_grid(alpha_step: float = 0.05) -> list[tuple[float, float]]:

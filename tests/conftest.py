@@ -8,7 +8,17 @@ from momlab.complexity import theorem1_budget, theorem2_budget
 from momlab.methods import run, theorem1_params, theorem2_params
 from momlab.problems import EigenBounds, Rotation, make_diagonal_problem
 from momlab.seeding import X0_STREAM, stream_seed, unit_start
-from momlab.spectral import COMPLEX_PAIR, DOUBLE_ROOT, DOUBLE_ROOT_TOL, REAL_PAIR, parameter_grid
+from momlab.spectral import COMPLEX_PAIR, DOUBLE_ROOT, REAL_PAIR, _discriminant, parameter_grid
+
+
+@pytest.fixture(scope="session", autouse=True)
+def raise_on_floating_point_errors():
+    """Overflow, invalid operations and division by zero raise in every test;
+    code that expects one holds a local ``np.errstate``. Gradual underflow
+    is expected in the kernel, the norms and deep powers, and stays quiet."""
+    previous = np.seterr(all="raise", under="ignore")
+    yield
+    np.seterr(**previous)
 
 
 @pytest.fixture(scope="session")
@@ -139,17 +149,27 @@ def reference_chunked_write_csv(path, header, rows) -> None:
             fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
+def block_of(family: str, alpha_i: float, beta: float) -> tuple[float, float, float]:
+    """(trace, determinant, double-root slack) of one block in Python floats,
+    by the formulas ``analyze_hbm``/``analyze_nag`` state in their docstrings."""
+    u = 2.0**-53
+    if family == "hbm":
+        trace = 1.0 + beta - alpha_i
+        return trace, beta, 8.0 * u * (abs(trace) * (1.0 + beta + abs(alpha_i)) + beta)
+    one_minus = 1.0 - alpha_i
+    trace = (1.0 + beta) * one_minus
+    w = abs(one_minus) + alpha_i
+    return trace, beta * one_minus, 10.0 * u * w * (abs(trace) * (1.0 + beta) + 2.0 * beta)
+
+
 def reference_analysis(family: str, alpha_i: float, beta: float) -> SimpleNamespace:
     """One block's spectral data by the scalar formulas, point by point, in
     Python float and complex arithmetic: the reference for the library's
-    array path. Fields as in ``momlab.spectral.BlockSpectrum``."""
-    if family == "hbm":
-        trace, product = 1.0 + beta - alpha_i, beta
-    else:
-        one_minus = 1.0 - alpha_i
-        trace, product = (1.0 + beta) * one_minus, beta * one_minus
-    disc = trace * trace - 4.0 * product
-    if abs(disc) <= DOUBLE_ROOT_TOL:
+    array path. The discriminant is ``momlab.spectral._discriminant`` on
+    Python floats. Fields as in ``momlab.spectral.BlockSpectrum``."""
+    trace, product, slack = block_of(family, alpha_i, beta)
+    disc = _discriminant(trace, product)
+    if abs(disc) <= slack and math.isfinite(disc):
         lam = complex(0.5 * trace)
         eigen = 0j, lam, lam, abs(0.5 * trace), DOUBLE_ROOT
     elif disc > 0.0:
@@ -165,10 +185,9 @@ def reference_analysis(family: str, alpha_i: float, beta: float) -> SimpleNamesp
 
 
 def reference_eigvec_condition(spec) -> float:
-    """cond(S) of one block by the scalar closed form (``x ** 2`` and complex
-    ``abs`` as CPython evaluates them): the reference for the array path."""
-    if spec.regime == DOUBLE_ROOT:
-        return math.inf
+    """cond(S) = mu_+ / |gamma| of one block by the scalar closed form
+    (``x ** 2`` and complex ``abs`` as CPython evaluates them): the reference
+    for the array path. inf where gamma = 0."""
     t, c = spec.beta_i, spec.product
     if spec.regime == REAL_PAIR:
         g2 = spec.gamma.real ** 2
@@ -177,10 +196,9 @@ def reference_eigvec_condition(spec) -> float:
     else:
         mid = 1.0 + c
         half_span = abs(1.0 + spec.lambda_plus ** 2)
-    mu_minus = mid - half_span
-    if mu_minus <= 0.0:
+    if spec.gamma == 0:
         return math.inf
-    return math.sqrt((mid + half_span) / mu_minus)
+    return (mid + half_span) / abs(spec.gamma)
 
 
 def reference_theorem_lines(

@@ -976,7 +976,7 @@ def test_csv_writer_matches_the_per_value_writer_on_figure_tables(tmp_path, figu
 
 @pytest.mark.parametrize(
     "figure_id, formatted, distinct",
-    [("fig2", 915, 714), ("fig4-left", 4420, 3405), ("fig5-analogue", 4420, 3280)],
+    [("fig2", 916, 715), ("fig4-left", 4420, 3469), ("fig5-analogue", 4420, 3281)],
 )
 def test_grid_figures_format_each_repeated_value_once(figure_id, formatted, distinct):
     _, rows = _figure_rows(figure_id, 200, 100)

@@ -76,6 +76,40 @@ def test_theorem2_budget_is_theorem1_budget_at_twice_the_condition(cond, eps_fac
     assert report == doubled
 
 
+def _next_to_integers(rule, cond):
+    """eps = 2 exp(-N/s) and its two float neighbours for the first 399 N
+    with eps <= 1/cond: s ln(2/eps) is an integer up to the rounding of eps."""
+    scale = 2.0 * cond if rule == 1 else 4.0 * cond
+    s = math.sqrt(scale)
+    first = math.ceil(s * math.log(2.0 * cond))
+    for n in range(first, first + 399):
+        eps = 2.0 * math.exp(-n / s)
+        for e in (math.nextafter(eps, 0.0), eps, math.nextafter(eps, 1.0)):
+            if e <= 1.0 / cond:
+                yield scale, e
+
+
+@pytest.mark.parametrize("rule", [1, 2])
+@pytest.mark.parametrize("cond", [28.0, 50.0, 1e2, 1e3, 1e4, 1e6])
+def test_budget_is_the_exact_ceiling_next_to_an_integer(rule, cond):
+    # a float product within rounding of an integer says nothing of the side
+    # the real value lies on: at c = 28, eps = 0.031764623751553 it is
+    # 31.000000000000004 and the real one 31.0000000000000038..., so K = 33
+    budget_of = theorem1_budget if rule == 1 else theorem2_budget
+    cases = list(_next_to_integers(rule, cond))
+    assert len(cases) >= 3 * 399 - 1
+    for scale, eps in cases:
+        assert budget_of(cond, eps).budget == _hp_budget(scale, eps), eps
+
+
+@settings(deadline=None, max_examples=200)
+@given(cond=st.floats(28.0, 1e8), eps_power=st.floats(0.0, 1.0))
+def test_budgets_are_the_exact_ceiling(cond, eps_power):
+    eps = (1.0 / cond) * (1e-300 * cond) ** eps_power  # log-uniform in [1e-300, 1/cond]
+    assert theorem1_budget(cond, eps).budget == _hp_budget(2.0 * cond, eps)
+    assert theorem2_budget(cond, eps).budget == _hp_budget(4.0 * cond, eps)
+
+
 def test_theorem2_budget_below_threshold():
     with pytest.raises(PreconditionError):
         theorem2_budget(27.0, 1e-3)

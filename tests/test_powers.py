@@ -111,7 +111,7 @@ def test_block_power_matches_the_oracle_on_the_grid(analyze):
 @pytest.mark.parametrize("delta", [0.0, 1e-10, 1e-8, 1e-6])
 def test_block_power_matches_the_oracle_next_to_the_double_root(delta):
     # discriminants from about 1e-6 down to rounding (delta = 0), on both
-    # sides of DOUBLE_ROOT_TOL and of zero
+    # sides of the double-root slack and of zero
     for j in range(1, 41):
         alpha_i = 0.05 * j
         for side in {1.0 + delta, 1.0 - delta}:
@@ -184,10 +184,9 @@ def test_block_power_does_not_use_the_cumulative_products(monkeypatch):
 
 def test_block_power_guard_tolerates_the_double_root_snap():
     # DOUBLE_ROOT specs carry l_+ = l_- = t/2, so l_+ l_- misses d by up to
-    # DOUBLE_ROOT_TOL / 4; the guard must let that through
-    alpha_i = 0.95
-    beta = double_root_beta(alpha_i) * (1.0 - 1e-10)
-    spec = analyze_hbm(alpha_i, beta)
+    # slack / 4; the guard must let that through
+    alpha_i = 0.36
+    spec = analyze_hbm(alpha_i, double_root_beta(alpha_i))
     assert spec.regime == spectral.DOUBLE_ROOT
     assert spec.lambda_plus * spec.lambda_minus != spec.product
     block_power(spec, 10)

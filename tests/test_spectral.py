@@ -1,6 +1,9 @@
 import math
+import struct
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from momlab.spectral import (
     COMPLEX_PAIR,
     DOUBLE_ROOT,
     REAL_PAIR,
+    _discriminant,
     analyze_hbm,
     analyze_nag,
     block_power,
@@ -30,7 +34,7 @@ from momlab.spectral import (
 )
 from momlab.verify import clamped_eigvec_condition, verify_norm_bound
 
-from conftest import batched_sigma_max, reference_analysis, reference_eigvec_condition
+from conftest import batched_sigma_max, block_of, reference_analysis, reference_eigvec_condition
 
 
 def _analyses(grid):
@@ -620,3 +624,191 @@ def test_parameter_grid_keeps_its_points(step):
     betas = [0.05 * l for l in range(20)]
     expected = [(a, b) for a in alphas for b in betas] + [snapped_double_root(a) for a in alphas]
     assert parameter_grid(alpha_step=step) == expected
+
+
+# ---------------------------------------------------------------------------
+# one discriminant decides the regime, gamma and the double root
+
+
+def _grid_blocks():
+    """(trace, determinant) of both families at parameter_grid() and the edge points."""
+    points = parameter_grid() + _edge_points()
+    return [block_of(family, a, b)[:2] for family in ("hbm", "nag") for a, b in points]
+
+
+def _array_discriminant(ts, ds):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _discriminant(np.array(ts, dtype=float), np.array(ds, dtype=float)).tolist()
+
+
+def _same_float(x, y):
+    """Equal bits, or both NaN (whatever the payload)."""
+    return (math.isnan(x) and math.isnan(y)) or struct.pack("<d", x) == struct.pack("<d", y)
+
+
+def _assert_evaluators_agree(blocks):
+    ts, ds = zip(*blocks)
+    for (t, d), y in zip(blocks, _array_discriminant(ts, ds)):
+        x = _discriminant(float(t), float(d))
+        assert _same_float(x, y), (t, d, x, y)
+
+
+_HUGE = (2.0**500, math.nextafter(2.0**500, 0.0), 2.0**511.5, 2.0**512, 2.0**600, 1.7e308)
+
+
+def test_discriminant_evaluators_agree_bitwise():
+    # Python floats (block_power) and arrays (the analysis): one expression
+    ts = [sign * t for t in _HUGE + (math.inf, math.nan) for sign in (1.0, -1.0)]
+    ds = (0.0, 1.0, -1.0, 2.0**998, 2.0**1022, 1e300, math.inf, -math.inf, math.nan)
+    _assert_evaluators_agree(_grid_blocks() + [(t, d) for t in ts for d in ds])
+
+
+@settings(deadline=None, max_examples=200)
+@given(blocks=st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=30))
+def test_discriminant_evaluators_agree_bitwise_property(blocks):
+    _assert_evaluators_agree(blocks)
+
+
+def _assert_discriminant_exact(blocks):
+    """Both evaluators against t^2 - 4d in rational arithmetic: the same sign
+    and zero, and the value within one unit in its last place (near zero,
+    where hi - 4d is exact, the one rounding of adding lo; elsewhere hi - 4d
+    rounds too)."""
+    ts, ds = zip(*blocks)
+    for (t, d), y in zip(blocks, _array_discriminant(ts, ds)):
+        exact = Fraction(t) ** 2 - 4 * Fraction(d)
+        for got in (_discriminant(t, d), y):
+            assert (got > 0, got == 0) == (exact > 0, exact == 0), (t, d, got)
+            assert abs(Fraction(got) - exact) <= Fraction(math.ulp(got)), (t, d, got)
+
+
+def test_discriminant_is_exact_on_the_grid_and_edges():
+    _assert_discriminant_exact(_grid_blocks())
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    family=st.sampled_from(["hbm", "nag"]),
+    points=st.lists(
+        st.tuples(st.floats(1e-9, 2.0), st.floats(0.0, 0.999)), min_size=1, max_size=20
+    ),
+)
+def test_discriminant_is_exact_property(family, points):
+    _assert_discriminant_exact([block_of(family, a, b)[:2] for a, b in points])
+
+
+@pytest.mark.parametrize("lower", [1.0, 0.37, 3.3e-5])
+def test_both_rules_put_the_lower_end_on_the_double_root(lower):
+    rules = [(theorem1_params, analyze_hbm), (theorem2_params, analyze_nag)]
+    conds = np.geomspace(28.0, 1e8, 2000)
+    for params_of, analyze in rules:
+        params = [params_of(EigenBounds(lower, lower * c)) for c in conds]
+        alphas = np.array([p.alpha * lower for p in params])
+        betas = np.array([p.beta for p in params])
+        assert (analyze(alphas, betas).regime == DOUBLE_ROOT).all()
+
+
+def test_the_double_root_curves_are_double_roots():
+    alphas = 2.0 * np.arange(1, 200_001) / 200_000
+    assert (analyze_hbm(alphas, double_root_beta(alphas)).regime == DOUBLE_ROOT).all()
+    betas = np.linspace(0.0, 0.999, 200_001)
+    alphas = ((1.0 - betas) / (1.0 + betas)) ** 2
+    assert (analyze_nag(alphas, betas).regime == DOUBLE_ROOT).all()
+
+
+def test_an_overflowed_discriminant_is_a_real_pair():
+    # t^2 is inf past |t| = 2^512, and so is the slack past about 1e161
+    alphas = np.array([1e160, 1e200, 1e308])
+    with pytest.warns(UserWarning, match="outside"):
+        hbm = analyze_hbm(alphas, 0.5, strict=False)
+    for spec in (hbm, analyze_nag(alphas, 0.5)):
+        assert (spec.regime == REAL_PAIR).all() and (spec.rho == np.inf).all()
+
+
+def test_points_off_the_double_root_are_regular():
+    # 1e-10 relative off the curve the roots are 1e-5 relative apart
+    for alpha_i in (0.95, 1.1):
+        below = analyze_hbm(alpha_i, double_root_beta(alpha_i) * (1.0 - 1e-10))
+        above = analyze_hbm(alpha_i, double_root_beta(alpha_i) * (1.0 + 1e-10))
+        assert (below.regime, above.regime) == (REAL_PAIR, COMPLEX_PAIR)
+        for spec in (below, above):
+            assert 1e6 < eigvec_condition(spec) < 1e7
+
+
+def _exact_roots(t, d):
+    """l_pm = (t +- sqrt(t^2 - 4d)) / 2 of the float block at 40 digits."""
+    with mpmath.workdps(40):
+        t, d = mpmath.mpf(t), mpmath.mpf(d)
+        g = mpmath.sqrt(t * t - 4 * d)
+        return (t + g) / 2, (t - g) / 2
+
+
+# Relative error of a regular block's eigenvalues against 40 digits.
+_REGULAR_ROOT_TOL = 1e-14
+
+
+def _check_roots(family, alpha_i, beta):
+    """The block's eigenvalues against 40 digits: each within _REGULAR_ROOT_TOL
+    relative for a regular block, and within sqrt(slack)/2 (the spread of a
+    double root whose discriminant is within the slack) for a DOUBLE_ROOT one."""
+    spec = (analyze_hbm if family == "hbm" else analyze_nag)(alpha_i, beta)
+    slack = block_of(family, alpha_i, beta)[2]
+    exact = _exact_roots(spec.beta_i, spec.product)
+    with mpmath.workdps(40):
+        errors = [abs(mpmath.mpc(got) - x) for got, x in zip((spec.lambda_plus, spec.lambda_minus), exact)]
+        if spec.regime == DOUBLE_ROOT:
+            # the float discriminant is within one rounding of the exact one
+            bounds = [math.sqrt(slack) / 2 * (1.0 + 1e-12)] * 2
+        else:
+            bounds = [_REGULAR_ROOT_TOL * abs(x) for x in exact]
+        assert all(e <= b for e, b in zip(errors, bounds)), (family, alpha_i, beta, spec.regime)
+    return spec.regime
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+def test_eigenvalues_next_to_the_double_root_match_40_digits(delta):
+    regimes = {
+        _check_roots("hbm", 0.05 * j, double_root_beta(0.05 * j) * side)
+        for j in range(1, 41)
+        for side in {1.0 + delta, 1.0 - delta}
+    }
+    assert DOUBLE_ROOT in regimes if delta == 0.0 else {REAL_PAIR, COMPLEX_PAIR} <= regimes
+
+
+@pytest.mark.parametrize("family", ["hbm", "nag"])
+def test_eigenvalues_on_the_grid_match_40_digits(family):
+    regimes = [_check_roots(family, a, b) for a, b in parameter_grid()]
+    assert regimes.count(DOUBLE_ROOT) >= 42 if family == "hbm" else DOUBLE_ROOT in regimes
+
+
+def _exact_eigvec_condition(t, d):
+    """cond(S) = sqrt(mu_+ / mu_-) of S = [[1, 1], [l_+, l_-]] at 40 digits."""
+    lp, lm = _exact_roots(t, d)
+    with mpmath.workdps(40):
+        half_trace = 1 + (abs(lp) ** 2 + abs(lm) ** 2) / 2
+        det = abs(lp - lm) ** 2
+        root = mpmath.sqrt(half_trace**2 - det)
+        return mpmath.sqrt((half_trace + root) / (half_trace - root))
+
+
+# Relative error of cond(S) against 40 digits.
+_COND_TOL = 2e-15
+
+
+def test_eigvec_condition_next_to_the_double_root_matches_40_digits():
+    # every point within 100 ulps of beta on the heavy-ball double-root curve
+    alphas = 0.005 * np.arange(1, 401)
+    alphas = alphas[double_root_beta(alphas) > 0.0]
+    curve = double_root_beta(alphas).view(np.int64)
+    betas = (curve[:, None] + np.arange(-100, 101)).view(float)
+    a = np.broadcast_to(alphas[:, None], betas.shape)
+    spec = analyze_hbm(a, betas)
+    cond = eigvec_condition(spec)
+    assert ((spec.regime == DOUBLE_ROOT) == np.isinf(cond)).all()
+    assert (spec.regime != DOUBLE_ROOT).sum() > betas.size // 2
+    # the regular ones against 40 digits, on a sample of the band
+    for i in range(0, len(alphas), 10):
+        for k in (0, 1, 3, 10, 30, 100, 103, 110, 130, 170, 197, 199, 200):
+            if spec.regime[i, k] != DOUBLE_ROOT:
+                exact = _exact_eigvec_condition(spec.beta_i[i, k], spec.product[i, k])
+                assert abs(cond[i, k] - exact) <= _COND_TOL * exact, (a[i, k], betas[i, k])
