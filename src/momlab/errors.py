@@ -15,7 +15,8 @@ class InvalidSpectrumError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """A user-supplied matrix has a non-positive smallest eigenvalue."""
+    """A directly constructed QuadraticProblem has a non-positive eigenvalue;
+    the problem builders refuse one earlier, with InvalidSpectrumError."""
 
 
 class SingularMatrixError(ValueError):

@@ -15,9 +15,11 @@ a*d, B = b for heavy ball and C = (1 + b)(1 - a*d), B = b(1 - a*d) for the
 accelerated form. :func:`run` iterates exactly that, in one elementwise loop
 for all four kinds: ``MM`` runs as ``HBM`` and ``NAG_COMPACT`` as
 ``NAG_TWO_SEQUENCE``. Distances are norms of z, so they carry no rounding
-floor from forming Hx - b near x*. The four hand-written state machines on
-the dense gradient live in :mod:`momlab.oracle`, as the reference ``run``
-is tested against.
+floor from forming Hx - b near x*. The loop runs in blocks of steps in one
+buffer: a full-history run is one block and a history-free run is blocks of
+``_BLOCK_ROWS``; nothing else tells them apart. The four hand-written state
+machines on the dense gradient live in :mod:`momlab.oracle`, as the
+reference ``run`` is tested against.
 
 ``theorem1_params`` / ``theorem2_params`` produce the fixed parameters the
 worst-case budget calculators in :mod:`momlab.complexity` certify.
@@ -91,52 +93,65 @@ class MethodParams:
 _BLOCK_ROWS = 256
 
 
+def _reduce(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and averaged distances of a block's rows 1..r, from its rows
+    0..r. Each norm is per row, so a block's reduction is bit for bit that
+    of the same rows in any other block."""
+    return (
+        np.linalg.norm(rows[1:], axis=-1),
+        np.linalg.norm(0.5 * (rows[:-1] + rows[1:]), axis=-1),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A run's error coordinates z_k = Q(x_k - x*), k = 0..K, and what they
+    """A run's last block of error coordinates z_k = Q(x_k - x*),
+    k = first..K, the reduced distances of steps 0..first, and what they
     give: distances to x*, the averaged endpoint and the iterates x_k.
 
     Distances are norms of z, so they form no x-space iterate; ``iterates``
-    rotates back on first access. A run from a (batch, n) stack of starts
-    adds a batch axis after the step axis: errors and iterates
-    (K+1, batch, n), distances (K+1, batch), averaged_final (batch, n). Row j
-    of each is the run from start j alone, bit for bit.
+    rotates back on first access. The last block is reduced on first
+    access too, so a run whose norms overflow is read under the caller's
+    ``np.errstate``. A run from a (batch, n) stack of starts adds a batch
+    axis after the step axis: errors and iterates (K+1, batch, n),
+    distances (K+1, batch), averaged_final (batch, n). Row j of each is the
+    run from start j alone, bit for bit.
 
-    A history-free run (``run(..., history=False)``) keeps no z_k: it holds
-    its distances, averaged distances and last two error rows, bit for bit
-    those of the full run, and ``errors``, ``iterates`` and
-    ``averaged_iterate`` raise ValueError.
+    A run whose last block starts after step 0 (``run(..., history=False)``
+    of more than ``_BLOCK_ROWS`` steps) keeps no error history: its
+    ``errors``, ``iterates`` and ``averaged_iterate`` raise ValueError.
     """
 
-    history: np.ndarray | None  # z_k, shape (K+1, n) or (K+1, batch, n); None if history-free
     problem: QuadraticProblem
-    # a history-free run's (distances, averaged distances, z_{K-1} and z_K)
-    reduced: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    rows: np.ndarray  # z_first..z_K, shape (K-first+1, n) or (K-first+1, batch, n)
+    first: int
+    reduced: tuple[np.ndarray, np.ndarray]  # distances, averaged distances of steps 0..first
 
     @property
     def errors(self) -> np.ndarray:
-        if self.history is None:
+        if self.first:
             raise ValueError(
                 "a history-free run keeps no error history: errors, iterates and"
                 " averaged_iterate need run(..., history=True)"
             )
-        return self.history
+        return self.rows
 
     @property
     def num_steps(self) -> int:
-        rows = self.history if self.reduced is None else self.reduced[0]
-        return rows.shape[0] - 1
+        return self.first + self.rows.shape[0] - 1
 
     @property
     def x_star(self) -> np.ndarray:
         return self.problem.x_star
 
     @cached_property
+    def _last_block(self) -> tuple[np.ndarray, np.ndarray]:
+        return _reduce(self.rows)
+
+    @cached_property
     def distances(self) -> np.ndarray:
         """||x_k - x*||, shape (K+1,) or (K+1, batch)."""
-        if self.reduced is not None:
-            return self.reduced[0]
-        return np.linalg.norm(self.errors, axis=-1)
+        return np.concatenate([self.reduced[0], self._last_block[0]])
 
     @cached_property
     def iterates(self) -> np.ndarray:
@@ -146,7 +161,7 @@ class Trajectory:
     @cached_property
     def averaged_final(self) -> np.ndarray:
         """(x_{K-1} + x_K) / 2, shape (n,) or (batch, n)."""
-        z = self.errors[-2:] if self.reduced is None else self.reduced[2]
+        z = self.rows[-2:]
         return _from_eigenbasis(self.problem, 0.5 * (z[0] + z[1]))
 
     def averaged_iterate(self, k: int) -> np.ndarray:
@@ -157,11 +172,7 @@ class Trajectory:
 
     def averaged_distances(self) -> np.ndarray:
         """Distances of the averaged iterates, shaped like ``distances``."""
-        if self.reduced is not None:
-            return self.reduced[1].copy()
-        z = self.errors
-        d = np.linalg.norm(0.5 * (z[:-1] + z[1:]), axis=-1)
-        return np.concatenate([self.distances[:1], d])
+        return np.concatenate([self.reduced[1], self._last_block[1]])
 
 
 def _iterate(rows: np.ndarray, u_prev: np.ndarray, alpha, beta, d, accelerated: bool) -> np.ndarray:
@@ -199,11 +210,13 @@ def run(
     i of such a run equals, bit for bit, that of a run with the scalars
     alpha[i] and beta[i] at the same curvature d_i.
 
-    ``history=True`` stores every z_k, (K+1)*n values per start. With
-    ``history=False`` the run iterates blocks of ``_BLOCK_ROWS`` steps in
-    one reused buffer and reduces each block to its distances and averaged
-    distances, so it holds O(_BLOCK_ROWS*n + K) values per start. Every
-    reduction is per row, so the result is bit for bit that of the full run.
+    The run iterates blocks of steps in one reused buffer and reduces each
+    finished block to its distances and averaged distances; the last block
+    is kept, and reduced when it is first read. ``history=True`` runs one
+    block of num_steps steps, so it keeps every z_k, (K+1)*n values per
+    start. ``history=False`` runs blocks of ``_BLOCK_ROWS`` steps and holds
+    O(_BLOCK_ROWS*n + K) values per start. Every reduction is per row, so
+    both give the same distances bit for bit.
     """
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
@@ -219,29 +232,24 @@ def run(
         for v in (params.alpha, params.beta, problem.eigenvalues)
     )
     accelerated = params.kind in ACCELERATED_KINDS
-    if history:
-        errors = np.empty((num_steps + 1, *z0.shape))
-        errors[0] = z0
-        _iterate(errors, z0, *operands, accelerated)
-        return Trajectory(errors, problem)
-
-    rows = np.empty((min(num_steps, _BLOCK_ROWS) + 1, *z0.shape))
+    block_rows = num_steps if history else _BLOCK_ROWS
+    first = (num_steps - 1) // block_rows * block_rows  # the last block's first step
+    rows = np.empty((min(num_steps, block_rows) + 1, *z0.shape))
     rows[0] = u_prev = z0
-    dist = np.empty((num_steps + 1, *z0.shape[:-1]))
+    dist = np.empty((first + 1, *z0.shape[:-1]))
     avg = np.empty_like(dist)
-    dist[:1] = avg[:1] = np.linalg.norm(rows[:1], axis=-1)
-    for k in range(0, num_steps, _BLOCK_ROWS):
+    dist[0] = avg[0] = np.linalg.norm(z0, axis=-1)
+    for k in range(0, num_steps, block_rows):
         if k:
+            done = slice(k - block_rows + 1, k + 1)
+            dist[done], avg[done] = _reduce(block)
             # the next block starts from this one's last row; a heavy-ball
             # u_prev is a row of the buffer, so it is copied out first
             u_prev = u_prev.copy()
             rows[0] = rows[-1]
-        block = rows[: min(_BLOCK_ROWS, num_steps - k) + 1]
+        block = rows[: min(block_rows, num_steps - k) + 1]
         u_prev = _iterate(block, u_prev, *operands, accelerated)
-        r = block.shape[0] - 1
-        dist[k + 1 : k + r + 1] = np.linalg.norm(block[1:], axis=-1)
-        avg[k + 1 : k + r + 1] = np.linalg.norm(0.5 * (block[:-1] + block[1:]), axis=-1)
-    return Trajectory(None, problem, (dist, avg, block[-2:].copy()))
+    return Trajectory(problem, block, first, (dist, avg))
 
 
 def _require_cond(bounds: EigenBounds) -> float:

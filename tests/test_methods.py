@@ -16,6 +16,7 @@ from momlab.methods import (
 )
 from momlab.oracle import dense_arrays, dense_run, gradient
 from momlab.problems import EigenBounds, make_diagonal_problem, make_rotated_problem
+from momlab.verify import verify_theorem
 
 
 FIG1_PARAMS = MethodParams(1.9 / 100.0, 0.85, MethodKind.HBM)
@@ -298,6 +299,12 @@ def test_history_free_run_equals_the_full_run_bitwise(kind, batch, per_coordinat
     full = run(problem, params, x0, num_steps)
     free = run(problem, params, x0, num_steps, history=False)
     assert free.num_steps == full.num_steps == num_steps
+    assert _bits(free.rows) == _bits(full.errors[free.first :])
+    if free.first > 0:
+        with pytest.raises(ValueError, match="history-free run keeps no error history"):
+            free.errors
+    else:
+        assert _bits(free.errors) == _bits(full.errors)
     assert _bits(free.distances) == _bits(full.distances)
     assert _bits(free.averaged_distances()) == _bits(full.averaged_distances())
     assert _bits(free.averaged_final) == _bits(full.averaged_final)
@@ -317,16 +324,20 @@ def test_history_free_run_is_bitwise_across_a_non_finite_block_boundary(monkeypa
         full = run(problem, params, [0.0, scale], 40)
         monkeypatch.setattr(momlab.methods, "_BLOCK_ROWS", block_rows)
         free = run(problem, params, [0.0, scale], 40, history=False)
+        full_dist, free_dist = full.distances, free.distances
         full_avg, free_avg = full.averaged_distances(), free.averaged_distances()
-    assert np.isfinite(full.distances[:13]).all() and not np.isfinite(full.distances[13])
-    assert _bits(free.distances) == _bits(full.distances)
+    assert np.isfinite(full_dist[:13]).all() and not np.isfinite(full_dist[13])
+    assert _bits(free_dist) == _bits(full_dist)
     assert _bits(free_avg) == _bits(full_avg)
     assert _bits(free.averaged_final) == _bits(full.averaged_final)
 
 
 def test_history_free_run_keeps_no_error_history():
-    traj = run(make_diagonal_problem([1.0, 100.0]), FIG1_PARAMS, [1.0, 1.0], 5, history=False)
-    assert traj.history is None
+    traj = run(make_diagonal_problem([1.0, 100.0]), FIG1_PARAMS, [1.0, 1.0], 2 * _B + 1,
+               history=False)
+    assert traj.num_steps == 2 * _B + 1
+    assert traj.rows.shape[0] <= _B + 1
+    assert traj.rows.base is None or traj.rows.base.shape[0] <= _B + 1
     for read in (
         lambda: traj.errors,
         lambda: traj.iterates,
@@ -335,6 +346,30 @@ def test_history_free_run_keeps_no_error_history():
     ):
         with pytest.raises(ValueError, match="history-free run keeps no error history"):
             read()
+
+
+def test_only_finished_blocks_are_reduced_inside_run(monkeypatch):
+    # a verify run reads only errors, so it pays for no norm; a history-free
+    # run reduces each finished block once and its last block on first read
+    calls, original = [], momlab.methods._reduce
+
+    def counted(rows):
+        calls.append(rows.shape[0] - 1)
+        return original(rows)
+
+    monkeypatch.setattr(momlab.methods, "_reduce", counted)
+    report = verify_theorem(1, [1000.0], [1e-6], 2)
+    budgets = [int(line.split(" K=")[1].split()[0]) for line in report.lines[:-1]]
+    assert report.passed and min(budgets) > _B
+    assert calls == []
+    problem = make_diagonal_problem([1.0, 100.0])
+    for num_steps in (1, _B, _B + 1, 3 * _B, 3 * _B + 2):
+        calls.clear()
+        traj = run(problem, FIG1_PARAMS, [1.0, 1.0], num_steps, history=False)
+        assert len(calls) == math.ceil(num_steps / _B) - 1
+        assert all(r == _B for r in calls)
+        traj.distances, traj.averaged_distances()
+        assert len(calls) == math.ceil(num_steps / _B)
 
 
 @pytest.mark.parametrize("problem", _batch_problems(), ids=["diagonal-2", "rotated-50"])
